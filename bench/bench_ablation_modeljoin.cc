@@ -81,7 +81,7 @@ int Run() {
 
   for (device::Device* dev : {cpu.get(), gpu.get()}) {
     for (int64_t vs : {64, 256, 1024, 4096}) {
-      auto shared = std::make_shared<modeljoin::SharedModel>(
+      auto shared = std::make_shared<inference::SharedModel>(
           nn::MetaOf(model, "m"), dev, /*num_partitions=*/1, static_cast<int>(vs));
       modeljoin::ModelJoinOperator op(
           std::make_unique<FixedChunkSource>(fact, vs), shared, model_table,

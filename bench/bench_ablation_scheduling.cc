@@ -1,20 +1,20 @@
-// Ablation of the parallel scheduler: static partition-per-thread (the
-// engine's historical mode) vs the work-stealing morsel pipeline. Two
-// workloads over the same query shape: "uniform" spreads filter survivors
-// evenly across the table, "skewed" packs them into one contiguous 10%
-// span, which static partitioning hands almost entirely to one thread
-// (zone maps prune the cold blocks, so the other threads finish almost
-// immediately) while morsel workers keep stealing hot morsels.
+// Ablation of the parallel scheduler: static partition-per-thread vs the
+// engine's work-stealing morsel pipeline. Two workloads over the same query
+// shape: "uniform" spreads filter survivors evenly across the table,
+// "skewed" packs them into one contiguous 10% span, which static
+// partitioning hands almost entirely to one thread (zone maps prune the
+// cold blocks, so the other threads finish almost immediately) while morsel
+// workers keep stealing hot morsels.
 //
 // Methodology: raw multi-threaded wall time conflates scheduling quality
 // with however many cores the benchmark host happens to have (on a 1-core
 // container every scheduler "ties"). Instead — in the spirit of the
-// simulated-GPU benches reporting modeled seconds — each work unit
-// (partition resp. morsel) is drained serially and timed without thread
-// contention, and the parallel wall is modeled as the schedule makespan at
-// kWorkers workers: static pins partition w to worker w (max over
-// partitions), morsel hands each next morsel to the earliest-free worker
-// (greedy work stealing).
+// simulated-GPU benches reporting modeled seconds — each morsel is drained
+// serially and timed without thread contention, and the parallel wall is
+// modeled as the schedule makespan at kWorkers workers: static pins
+// kWorkers contiguous groups of morsels to one worker each (max over the
+// groups' summed costs), morsel hands each next morsel to the earliest-free
+// worker (greedy work stealing).
 
 #include <algorithm>
 #include <cstdio>
@@ -65,43 +65,14 @@ storage::TablePtr MakeWorkloadTable(int64_t rows, bool skewed) {
   return table;
 }
 
-/// Per-partition busy seconds of the static scheduler: each worker drains
-/// its fixed partition plan. Measured serially (min of `reps`), so the
-/// numbers are contention-free even on a small host.
-Result<std::vector<double>> StaticPartitionCosts(sql::QueryEngine* engine,
-                                                 const sql::LogicalOp& plan,
-                                                 const sql::PlanAnalysis& analysis,
-                                                 int reps, int64_t* rows_out) {
-  sql::PhysicalPlanner planner(&plan, analysis, kWorkers, nullptr, nullptr);
-  INDBML_RETURN_NOT_OK(planner.Prepare());
-  std::vector<double> costs(static_cast<size_t>(planner.num_workers()), 1e100);
-  *rows_out = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    int64_t rows = 0;
-    for (int w = 0; w < planner.num_workers(); ++w) {
-      INDBML_ASSIGN_OR_RETURN(auto root, planner.Instantiate(w));
-      exec::ExecContext ctx;
-      ctx.catalog = engine->catalog();
-      ctx.worker_id = w;
-      Stopwatch watch;
-      INDBML_ASSIGN_OR_RETURN(auto result, exec::DrainOperator(root.get(), &ctx));
-      costs[static_cast<size_t>(w)] =
-          std::min(costs[static_cast<size_t>(w)], watch.ElapsedSeconds());
-      rows += result.num_rows;
-    }
-    *rows_out = rows;
-  }
-  return costs;
-}
-
-/// Per-morsel busy seconds of the morsel scheduler: one worker plan drains
-/// every morsel in claim order, timed individually (min of `reps` passes).
+/// Per-morsel busy seconds: one worker plan drains every morsel in row
+/// order, timed individually (min of `reps` passes). Both schedules are
+/// modeled from these costs.
 Result<std::vector<double>> MorselCosts(sql::QueryEngine* engine,
                                         const sql::LogicalOp& plan,
                                         const sql::PlanAnalysis& analysis,
                                         int reps, int64_t* rows_out) {
-  sql::PhysicalPlanner planner(&plan, analysis, kWorkers, nullptr, nullptr,
-                               nullptr, /*morsel_driven=*/true);
+  sql::PhysicalPlanner planner(&plan, analysis, kWorkers, nullptr, nullptr);
   INDBML_RETURN_NOT_OK(planner.Prepare());
   auto morsels = exec::MakeMorsels(*analysis.partitioned_table, kMorselRows);
   std::vector<double> costs(morsels.size(), 1e100);
@@ -130,9 +101,19 @@ Result<std::vector<double>> MorselCosts(sql::QueryEngine* engine,
   return costs;
 }
 
-/// Makespan of fixed assignment unit w -> worker w.
-double StaticMakespan(const std::vector<double>& costs) {
-  return *std::max_element(costs.begin(), costs.end());
+/// Makespan of static partitioning: the morsels split into `workers`
+/// contiguous, balanced groups, group w pinned to worker w.
+double StaticMakespan(const std::vector<double>& costs, int workers) {
+  const size_t n = static_cast<size_t>(workers);
+  const size_t per = (costs.size() + n - 1) / n;
+  double makespan = 0;
+  for (size_t begin = 0; begin < costs.size(); begin += per) {
+    const size_t end = std::min(begin + per, costs.size());
+    double group = 0;
+    for (size_t m = begin; m < end; ++m) group += costs[m];
+    makespan = std::max(makespan, group);
+  }
+  return makespan;
 }
 
 /// Makespan of greedy work stealing: each next unit goes to the worker that
@@ -170,19 +151,12 @@ int Run() {
     sql::PlanAnalysis analysis = optimizer.Analyze(**plan);
     INDBML_CHECK(analysis.parallel_safe);
 
-    int64_t static_rows = 0;
-    int64_t morsel_rows = 0;
-    auto static_costs =
-        StaticPartitionCosts(&engine, **plan, analysis, reps, &static_rows);
-    INDBML_CHECK(static_costs.ok()) << static_costs.status().ToString();
-    auto morsel_costs =
-        MorselCosts(&engine, **plan, analysis, reps, &morsel_rows);
-    INDBML_CHECK(morsel_costs.ok()) << morsel_costs.status().ToString();
-    INDBML_CHECK(static_rows == morsel_rows)
-        << static_rows << " vs " << morsel_rows;
+    int64_t result_rows = 0;
+    auto costs = MorselCosts(&engine, **plan, analysis, reps, &result_rows);
+    INDBML_CHECK(costs.ok()) << costs.status().ToString();
 
-    double static_wall = StaticMakespan(*static_costs);
-    double morsel_wall = StealingMakespan(*morsel_costs, kWorkers);
+    double static_wall = StaticMakespan(*costs, kWorkers);
+    double morsel_wall = StealingMakespan(*costs, kWorkers);
     double speedup = static_wall / morsel_wall;
 
     table.AddRow({workload, "static", FormatSeconds(static_wall), "1.00x"});
@@ -191,7 +165,7 @@ int Run() {
     std::printf(
         "[scheduling] %-8s rows=%lld  static %8.4fs  morsel %8.4fs  (%.2fx "
         "at %d workers)\n",
-        workload, static_cast<long long>(static_rows), static_wall,
+        workload, static_cast<long long>(result_rows), static_wall,
         morsel_wall, speedup, kWorkers);
   }
   table.Finish();

@@ -6,7 +6,7 @@
 #include "common/memory_tracker.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "exec/parallel.h"
+#include "exec/morsel.h"
 #include "exec/scan.h"
 #include "integration/capi_operator.h"
 #include "integration/external_client.h"
@@ -102,11 +102,12 @@ Result<double> PredictionChecksum(const exec::QueryResult& result) {
   return sum;
 }
 
-/// Builds and runs a partitioned scan + wrapper-operator plan (the C-API and
-/// UDF approaches, which are engine operators but not SQL-reachable).
+/// Builds and runs a morsel-driven scan + wrapper-operator plan (the C-API
+/// and UDF approaches, which are engine operators but not SQL-reachable) on
+/// the engine's workers.
 Result<exec::QueryResult> RunOperatorPlan(
     const ApproachContext& context,
-    const std::function<Result<exec::OperatorPtr>(exec::OperatorPtr child, int)>&
+    const std::function<Result<exec::OperatorPtr>(exec::OperatorPtr child)>&
         wrap) {
   INDBML_ASSIGN_OR_RETURN(storage::TablePtr fact,
                           context.engine->catalog()->GetTable(context.fact_table));
@@ -117,19 +118,17 @@ Result<exec::QueryResult> RunOperatorPlan(
     INDBML_ASSIGN_OR_RETURN(int col, fact->ColumnIndex(name));
     scan_columns.push_back(col);
   }
-  const auto& options = context.engine->options();
-  int partitions = options.parallel ? options.partitions : 1;
-  auto ranges = fact->MakePartitions(partitions);
-
-  exec::OperatorFactory factory =
-      [&](int partition) -> Result<exec::OperatorPtr> {
-    auto scan = std::make_unique<exec::TableScanOperator>(
-        fact, ranges[static_cast<size_t>(partition)], scan_columns,
-        std::vector<exec::ScanPredicate>{});
-    return wrap(std::move(scan), partition);
+  exec::MorselSource source(
+      exec::MakeMorsels(*fact, context.engine->options().morsel_rows));
+  exec::WorkerPlanFactory factory = [&](int) -> Result<exec::OperatorPtr> {
+    return wrap(std::make_unique<exec::TableScanOperator>(
+        exec::TableScanOperator::MorselBound{}, fact, scan_columns,
+        std::vector<exec::ScanPredicate>{}));
   };
-  ThreadPool* pool = partitions > 1 ? context.engine->pool() : nullptr;
-  return exec::ExecuteParallel(factory, partitions, context.engine->catalog(), pool);
+  const int workers = context.engine->EffectiveWorkers();
+  std::shared_ptr<ThreadPool> pool = context.engine->SharedPool(workers);
+  return exec::ExecutePipeline(factory, &source, workers,
+                               context.engine->catalog(), pool.get());
 }
 
 Result<exec::QueryResult> Execute(Approach approach, const ApproachContext& context,
@@ -156,7 +155,7 @@ Result<exec::QueryResult> Execute(Approach approach, const ApproachContext& cont
         input_idx.push_back(static_cast<int>(1 + i));  // after the id column
       }
       return RunOperatorPlan(
-          context, [&](exec::OperatorPtr child, int) -> Result<exec::OperatorPtr> {
+          context, [&](exec::OperatorPtr child) -> Result<exec::OperatorPtr> {
             return exec::OperatorPtr(
                 std::make_unique<integration::CApiInferenceOperator>(
                     std::move(child), context.model_bytes, device, input_idx,
@@ -189,7 +188,7 @@ Result<exec::QueryResult> Execute(Approach approach, const ApproachContext& cont
       std::vector<exec::DataType> out_types(static_cast<size_t>(out_dim),
                                             exec::DataType::kFloat);
       auto result = RunOperatorPlan(
-          context, [&](exec::OperatorPtr child, int) -> Result<exec::OperatorPtr> {
+          context, [&](exec::OperatorPtr child) -> Result<exec::OperatorPtr> {
             return exec::OperatorPtr(std::make_unique<integration::UdfOperator>(
                 std::move(child), udf, input_idx, PredictionNames(out_dim),
                 out_types));

@@ -11,8 +11,8 @@
 namespace indbml::exec {
 
 /// \brief Scan + filter + project collapsed into one operator
-/// (Options::fused_pipeline; planner-selected for
-/// [Project(column refs)] [Filter]* Scan chains, see sql/physical_planner).
+/// (planner-selected for [Project(column refs)] [Filter]* Scan chains, see
+/// sql/physical_planner).
 ///
 /// A morsel goes from the table's column buffers to an output chunk in one
 /// pass: the window's survivor set is computed as a byte mask — pushed

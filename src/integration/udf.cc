@@ -89,7 +89,7 @@ struct PyValue {
 };
 
 /// The interpreter's global lock: concurrent UDF calls from parallel
-/// partitions serialise here, as they would on the CPython GIL.
+/// workers serialise here, as they would on the CPython GIL.
 Mutex& GlobalInterpreterLock() {
   static Mutex* gil = new Mutex();
   return *gil;

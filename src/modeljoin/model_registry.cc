@@ -15,7 +15,7 @@ namespace {
 /// with it: the InferenceCache keys on the model *instance* id, so dropping
 /// the instance's entries is what makes redeploys unable to serve stale
 /// cached results.
-void DropCachedPredictions(const std::shared_ptr<SharedModel>& model) {
+void DropCachedPredictions(const std::shared_ptr<inference::SharedModel>& model) {
   if (model != nullptr) {
     inference::InferenceCache::Global().InvalidateModel(model->model_id());
   }
@@ -44,7 +44,7 @@ SharedModelRegistry& SharedModelRegistry::Global() {
 SharedModelRegistry::SharedModelRegistry(int64_t capacity)
     : capacity_(std::max<int64_t>(1, capacity)) {}
 
-Result<std::shared_ptr<SharedModel>> SharedModelRegistry::GetOrBuild(
+Result<std::shared_ptr<inference::SharedModel>> SharedModelRegistry::GetOrBuild(
     const nn::ModelMeta& meta, device::Device* device,
     const std::string& device_name, storage::TablePtr model_table,
     int vector_size) {
@@ -93,8 +93,8 @@ Result<std::shared_ptr<SharedModel>> SharedModelRegistry::GetOrBuild(
 
   // Build outside the lock: concurrent queries over *other* models proceed;
   // queries over this model wait on the condvar above.
-  auto model = std::make_shared<SharedModel>(meta, device, /*num_workers=*/1,
-                                             vector_size);
+  auto model = std::make_shared<inference::SharedModel>(
+      meta, device, /*num_workers=*/1, vector_size);
   Status status = model->BuildSerial(*model_table);
   RegistryCounter("builds")->Increment();
 

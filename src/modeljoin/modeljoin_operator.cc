@@ -12,7 +12,7 @@
 namespace indbml::modeljoin {
 
 ModelJoinOperator::ModelJoinOperator(exec::OperatorPtr child,
-                                     std::shared_ptr<SharedModel> model,
+                                     std::shared_ptr<inference::SharedModel> model,
                                      storage::TablePtr model_table,
                                      std::vector<int> input_column_indexes,
                                      std::vector<std::string> prediction_names,

@@ -8,7 +8,7 @@
 #include "common/metrics.h"
 #include "exec/operator.h"
 #include "inference/batcher.h"
-#include "modeljoin/shared_model.h"
+#include "inference/shared_model.h"
 
 namespace indbml::modeljoin {
 
@@ -25,7 +25,8 @@ namespace indbml::modeljoin {
 /// fully pipelined — not a pipeline breaker (§5.4).
 class ModelJoinOperator final : public exec::Operator {
  public:
-  ModelJoinOperator(exec::OperatorPtr child, std::shared_ptr<SharedModel> model,
+  ModelJoinOperator(exec::OperatorPtr child,
+                    std::shared_ptr<inference::SharedModel> model,
                     storage::TablePtr model_table,
                     std::vector<int> input_column_indexes,
                     std::vector<std::string> prediction_names, int worker,
@@ -45,7 +46,7 @@ class ModelJoinOperator final : public exec::Operator {
 
  private:
   exec::OperatorPtr child_;
-  std::shared_ptr<SharedModel> model_;
+  std::shared_ptr<inference::SharedModel> model_;
   storage::TablePtr model_table_;
   std::vector<int> input_columns_;
   std::vector<exec::DataType> types_;

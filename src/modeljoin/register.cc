@@ -33,13 +33,13 @@ void RegisterNativeModelJoin(sql::QueryEngine* engine, DeviceProvider provider) 
                           kDefaultVectorSize));
       return std::shared_ptr<void>(std::move(model));
     }
-    return std::shared_ptr<void>(std::make_shared<SharedModel>(
+    return std::shared_ptr<void>(std::make_shared<inference::SharedModel>(
         args.meta, device, args.num_workers, kDefaultVectorSize));
   };
 
   sql::ModelJoinOperatorFactory operator_factory =
       [](sql::ModelJoinPhysicalArgs args) -> Result<exec::OperatorPtr> {
-    auto model = std::static_pointer_cast<SharedModel>(args.shared_state);
+    auto model = std::static_pointer_cast<inference::SharedModel>(args.shared_state);
     // The SQL layer carries the knobs as a plain struct (it sits below
     // src/inference in the include layering); convert at this boundary.
     inference::InferenceOptions inference;

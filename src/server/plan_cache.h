@@ -13,8 +13,9 @@
 
 namespace indbml::server {
 
-/// FNV-1a over every planning-relevant engine option, so two sessions with
-/// different optimizer or execution settings never share a cached plan.
+/// FNV-1a over the options PlanQuery reads — the optimizer flags and
+/// nothing else — so sessions that differ only in execution settings share
+/// cached plans, and sessions with different optimizer settings never do.
 uint64_t OptionsFingerprint(const sql::QueryEngine::Options& options);
 
 /// \brief Process-wide prepared-statement cache.

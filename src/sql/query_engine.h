@@ -28,30 +28,12 @@ namespace indbml::sql {
 class QueryEngine {
  public:
   struct Options {
-    /// Partition count of the legacy static-partitioning path, used when
-    /// `morsel_driven` is false (paper §6.1 uses 12).
-    int partitions = kDefaultPartitions;
-    /// Pipeline worker threads; 0 = one per hardware thread. Independent of
-    /// `partitions`: workers are an execution resource, partitions/morsels a
-    /// work-division unit. Honored on the next query when changed.
+    /// Pipeline worker threads; 0 = one per hardware thread. Parallel-safe
+    /// plans run morsel-driven on this many workers; 1 = serial execution
+    /// on the calling thread. Honored on the next query when changed.
     int worker_threads = 0;
     /// Rows per morsel handed out by the work-stealing scheduler.
     int64_t morsel_rows = kDefaultMorselRows;
-    /// Schedule parallel plans morsel-wise with work stealing (default);
-    /// false = one static contiguous partition per thread.
-    bool morsel_driven = true;
-    /// Run workers on a thread pool; false = serial (debugging).
-    bool parallel = true;
-    /// Scans emit zero-copy views over table storage, and filters emit
-    /// selection vectors instead of copying survivors (default); false =
-    /// the legacy per-row materialising scan (conversion ablation).
-    bool zero_copy_scan = true;
-    /// Fuse [Project][Filter*]Scan chains into one operator that computes
-    /// the survivor mask with the vectorized compare kernels and emits one
-    /// selection vector over table storage (default); false = discrete
-    /// Scan/Filter/Project operators (fusion ablation). Requires
-    /// `zero_copy_scan`.
-    bool fused_pipeline = true;
     /// Resolve ModelJoin models through the process-wide
     /// SharedModelRegistry: the first query over a (model, device) pair
     /// builds it once, later and concurrent queries block-share the built
@@ -68,12 +50,12 @@ class QueryEngine {
   };
 
   /// Physical execution prep shared by the engine's own ExecutePlan and the
-  /// serving layer (server/session.cc): the analyzed plan, the lowered
-  /// per-worker planner, and the morsel-mode decision.
+  /// serving layer (server/session.cc): the analyzed plan and the lowered
+  /// per-worker planner. More than one planner worker means the plan runs
+  /// morsel-driven; one means a serial drain of instance 0.
   struct PhysicalPrep {
     std::unique_ptr<PhysicalPlanner> planner;
     PlanAnalysis analysis;
-    bool use_morsel = false;
   };
 
   QueryEngine();
@@ -130,8 +112,10 @@ class QueryEngine {
   Result<exec::QueryResult> ExecutePlan(const LogicalOp& plan, const Options& opts,
                                         exec::QueryProfile* profile);
 
-  /// Analyzes `plan` and lowers it for up to `max_workers` parallel worker
-  /// instances under the given options snapshot. Used by ExecutePlan and by
+  /// Analyzes `plan` and lowers it under the given options snapshot: for
+  /// `max_workers` morsel-driven worker instances when the plan is
+  /// parallel-safe and `max_workers` > 1, for one serial instance
+  /// otherwise. Used by ExecutePlan and by
   /// the shared executor path (server/session.cc), which schedules the
   /// returned planner's instances itself. ModelJoin shared state is created
   /// here (registry lookup when `opts.shared_models`).
@@ -143,15 +127,9 @@ class QueryEngine {
   /// hardware thread otherwise.
   int EffectiveWorkers() const;
 
-  /// The engine's worker pool (shared with the native ModelJoin build),
-  /// lazily (re)created at EffectiveWorkers() threads. The raw pointer stays
-  /// valid for the engine's lifetime as long as no concurrent caller
-  /// changes `worker_threads`; concurrent callers use SharedPool.
-  ThreadPool* pool();
-
-  /// Ref-counted handle on a pool with `want` threads. Re-sizing creates a
-  /// fresh pool while in-flight queries keep their old one alive — the
-  /// thread-safe form of the lazy recreation `pool()` performs.
+  /// Ref-counted handle on the engine's worker pool, (re)created lazily at
+  /// `want` threads. Re-sizing creates a fresh pool while in-flight queries
+  /// keep their old one alive.
   std::shared_ptr<ThreadPool> SharedPool(int want) INDBML_EXCLUDES(pool_mu_);
 
  private:

@@ -15,8 +15,8 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "exec/morsel.h"
+#include "inference/shared_model.h"
 #include "mltosql/mltosql.h"
-#include "modeljoin/shared_model.h"
 #include "nn/model.h"
 #include "nn/model_meta.h"
 #include "sql/query_engine.h"
@@ -250,7 +250,7 @@ TEST(SharedModelStressTest, ConcurrentBuildRounds) {
   constexpr int kPartitions = 5;
   ThreadPool pool(kPartitions);
   for (int round = 0; round < 10; ++round) {
-    modeljoin::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(),
+    inference::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(),
                                   kPartitions, 256);
     std::vector<Status> statuses(kPartitions);
     for (int p = 0; p < kPartitions; ++p) {

@@ -40,14 +40,14 @@ std::map<int64_t, std::vector<float>> Reference(const nn::Model& model,
 
 struct DeviceCase {
   const char* device;
-  bool parallel;
+  int worker_threads;  ///< 1 = serial execution
 };
 
 class ModelJoinTest : public ::testing::TestWithParam<DeviceCase> {
  protected:
   void SetUp() override {
     QueryEngine::Options options;
-    options.parallel = GetParam().parallel;
+    options.worker_threads = GetParam().worker_threads;
     engine_ = std::make_unique<QueryEngine>(options);
     modeljoin::RegisterNativeModelJoin(engine_.get());
   }
@@ -129,11 +129,11 @@ TEST_P(ModelJoinTest, ComposesWithDownstreamAggregation) {
 
 INSTANTIATE_TEST_SUITE_P(
     Devices, ModelJoinTest,
-    ::testing::Values(DeviceCase{"cpu", true}, DeviceCase{"cpu", false},
-                      DeviceCase{"gpu", true}, DeviceCase{"gpu", false}),
+    ::testing::Values(DeviceCase{"cpu", 4}, DeviceCase{"cpu", 1},
+                      DeviceCase{"gpu", 4}, DeviceCase{"gpu", 1}),
     [](const ::testing::TestParamInfo<DeviceCase>& info) {
       return std::string(info.param.device) +
-             (info.param.parallel ? "Parallel" : "Serial");
+             (info.param.worker_threads > 1 ? "Parallel" : "Serial");
     });
 
 TEST(ModelJoinErrorsTest, RejectsPairIdModelTable) {

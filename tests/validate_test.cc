@@ -12,9 +12,9 @@
 #include "common/metrics.h"
 #include "common/validation.h"
 #include "exec/validate.h"
+#include "inference/shared_model.h"
+#include "inference/validate.h"
 #include "mltosql/mltosql.h"
-#include "modeljoin/shared_model.h"
-#include "modeljoin/validate.h"
 #include "nn/model.h"
 #include "nn/model_meta.h"
 #include "sql/optimizer.h"
@@ -200,9 +200,9 @@ TEST_F(ValidationTest, SharedModelShapeInvariantsHold) {
   mltosql::MlToSql framework(&model, "m");
   ASSERT_OK_AND_ASSIGN(storage::TablePtr table, framework.BuildModelTable());
   auto cpu = device::MakeCpuDevice();
-  modeljoin::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(), 1, 64);
+  inference::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(), 1, 64);
   ASSERT_OK(shared.BuildPartition(*table, 0));
-  EXPECT_OK(modeljoin::ValidateSharedModelShape(shared));
+  EXPECT_OK(inference::ValidateSharedModelShape(shared));
 }
 
 TEST_F(ValidationTest, SharedModelBuildRunsShapeCheckWhenEnabled) {
@@ -213,7 +213,7 @@ TEST_F(ValidationTest, SharedModelBuildRunsShapeCheckWhenEnabled) {
   mltosql::MlToSql framework(&model, "m");
   ASSERT_OK_AND_ASSIGN(storage::TablePtr table, framework.BuildModelTable());
   auto cpu = device::MakeCpuDevice();
-  modeljoin::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(), 1, 32);
+  inference::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(), 1, 32);
   EXPECT_OK(shared.BuildPartition(*table, 0));
 }
 
