@@ -1,7 +1,6 @@
 #include "exec/fused_scan.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/metrics.h"
 
@@ -13,80 +12,6 @@ metrics::Counter* FusedScansCounter() {
   static metrics::Counter* counter =
       metrics::Registry::Global().counter("exec.fused_scans");
   return counter;
-}
-
-/// Same comparison rule as the unfused scan's RowPasses (exec/scan.cc):
-/// pushed predicates compare in the double domain.
-bool CompareDoubles(double lhs, BinaryOp op, double rhs) {
-  switch (op) {
-    case BinaryOp::kEq:
-      return lhs == rhs;
-    case BinaryOp::kNe:
-      return lhs != rhs;
-    case BinaryOp::kLt:
-      return lhs < rhs;
-    case BinaryOp::kLe:
-      return lhs <= rhs;
-    case BinaryOp::kGt:
-      return lhs > rhs;
-    case BinaryOp::kGe:
-      return lhs >= rhs;
-    default:
-      return true;
-  }
-}
-
-/// Exact rewrite of `x op v` (x float, v double) as a float-domain
-/// comparison, so float predicate columns can run through the 8-lane
-/// compare kernel without changing a single row's outcome.
-///
-/// If v is exactly representable as float the op is unchanged. Otherwise v
-/// falls strictly between two adjacent floats and the op is adjusted to
-/// whichever neighbor (float)v rounded to: e.g. with fv < v, `x < v` holds
-/// exactly for the floats x <= fv, so kLt becomes kLe against fv.
-struct FloatPredicate {
-  enum Kind { kCompare, kAlwaysTrue, kAlwaysFalse };
-  Kind kind;
-  BinaryOp op;
-  float bound;
-};
-
-FloatPredicate NormalizeFloatPredicate(BinaryOp op, double v) {
-  const float fv = static_cast<float>(v);
-  // NaN: every float compares with NaN the same way in both domains.
-  if (std::isnan(v) || static_cast<double>(fv) == v) {
-    return {FloatPredicate::kCompare, op, fv};
-  }
-  const bool fv_below = static_cast<double>(fv) < v;
-  switch (op) {
-    case BinaryOp::kEq:
-      return {FloatPredicate::kAlwaysFalse, op, fv};
-    case BinaryOp::kNe:
-      return {FloatPredicate::kAlwaysTrue, op, fv};
-    case BinaryOp::kLt:
-      return {FloatPredicate::kCompare, fv_below ? BinaryOp::kLe : BinaryOp::kLt,
-              fv};
-    case BinaryOp::kLe:
-      return {FloatPredicate::kCompare, fv_below ? BinaryOp::kLe : BinaryOp::kLt,
-              fv};
-    case BinaryOp::kGt:
-      return {FloatPredicate::kCompare, fv_below ? BinaryOp::kGt : BinaryOp::kGe,
-              fv};
-    case BinaryOp::kGe:
-      return {FloatPredicate::kCompare, fv_below ? BinaryOp::kGt : BinaryOp::kGe,
-              fv};
-    default:
-      return {FloatPredicate::kAlwaysTrue, op, fv};
-  }
-}
-
-/// True when `x op v` (x int64, v double) is equivalent to the pure int64
-/// comparison `x op (int64)v`: v must be integral and small enough that no
-/// int64-to-double rounding can cross it (|v| <= 2^52 keeps every rounded
-/// int64 on the same side of v as the exact value).
-bool IntPredicateIsExact(double v) {
-  constexpr double kLimit = 4503599627370496.0;  // 2^52
-  return std::floor(v) == v && std::fabs(v) <= kLimit;
 }
 
 }  // namespace
@@ -142,66 +67,23 @@ Status FusedTableScanOperator::Rewind(ExecContext* ctx) {
   return Status::OK();
 }
 
-bool FusedTableScanOperator::CanPruneBlock(int64_t block_index) const {
-  for (const ScanPredicate& p : predicates_) {
-    const auto& stats = table_->block_stats(p.column);
-    const storage::BlockStats& bs = stats[static_cast<size_t>(block_index)];
-    double lo = bs.min.AsDouble();
-    double hi = bs.max.AsDouble();
-    double v = p.value.AsDouble();
-    bool may_match = true;
-    switch (p.op) {
-      case BinaryOp::kEq:
-        may_match = lo <= v && v <= hi;
-        break;
-      case BinaryOp::kLt:
-        may_match = lo < v;
-        break;
-      case BinaryOp::kLe:
-        may_match = lo <= v;
-        break;
-      case BinaryOp::kGt:
-        may_match = hi > v;
-        break;
-      case BinaryOp::kGe:
-        may_match = hi >= v;
-        break;
-      case BinaryOp::kNe:
-        may_match = !(lo == v && hi == v);
-        break;
-      default:
-        may_match = true;
-        break;
-    }
-    if (!may_match) return true;
-  }
-  return false;
-}
-
 void FusedTableScanOperator::ApplyPredicate(const ScanPredicate& p,
                                             int64_t begin, int64_t rows) {
   const storage::Column& col = table_->column(p.column);
-  const double v = p.value.AsDouble();
+  const float v = p.value.AsFloat();
   uint8_t* mask = mask_.data();
   switch (col.type()) {
-    case DataType::kFloat: {
-      const FloatPredicate np = NormalizeFloatPredicate(p.op, v);
-      if (np.kind == FloatPredicate::kAlwaysFalse) {
-        std::fill(mask, mask + rows, uint8_t{0});
-      } else if (np.kind == FloatPredicate::kCompare) {
-        AndMaskCompareConstFloat(np.op, col.float_data() + begin, np.bound,
-                                 rows, mask);
-      }
+    case DataType::kFloat:
+      AndMaskCompareConstFloat(p.op, col.float_data() + begin, v, rows, mask);
       return;
-    }
     case DataType::kInt64: {
       const int64_t* d = col.int_data() + begin;
-      if (IntPredicateIsExact(v)) {
-        AndMaskCompareConstInt64(p.op, d, static_cast<int64_t>(v), rows, mask);
+      if (ComparesInt64(*table_, p)) {
+        AndMaskCompareConstInt64(p.op, d, p.value.i, rows, mask);
       } else {
         for (int64_t i = 0; i < rows; ++i) {
           mask[i] = mask[i] &
-                    (CompareDoubles(static_cast<double>(d[i]), p.op, v) ? 1 : 0);
+                    (CompareScalars(static_cast<float>(d[i]), p.op, v) ? 1 : 0);
         }
       }
       return;
@@ -209,7 +91,7 @@ void FusedTableScanOperator::ApplyPredicate(const ScanPredicate& p,
     case DataType::kBool: {
       const uint8_t* d = col.bool_data() + begin;
       for (int64_t i = 0; i < rows; ++i) {
-        mask[i] = mask[i] & (CompareDoubles(d[i] != 0 ? 1 : 0, p.op, v) ? 1 : 0);
+        mask[i] = mask[i] & (CompareScalars(d[i] != 0 ? 1.0f : 0.0f, p.op, v) ? 1 : 0);
       }
       return;
     }
@@ -247,7 +129,7 @@ Status FusedTableScanOperator::Next(ExecContext*, DataChunk* out, bool* eof) {
       int64_t block_end = std::min((block + 1) * rows_per_block, range_.end);
       if (cursor_ % rows_per_block == 0 && block_end <= range_.end) {
         ++stats_.blocks_total;
-        if (CanPruneBlock(block)) {
+        if (ZoneMapRejectsBlock(*table_, block, predicates_)) {
           ++stats_.blocks_pruned;
           cursor_ = block_end;
           continue;

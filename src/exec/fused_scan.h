@@ -23,12 +23,12 @@ namespace indbml::exec {
 /// composition, no flatten copies between the operators it replaces.
 ///
 /// Semantics are bit-identical to the unfused chain: pushed predicates use
-/// the scan's double-comparison rule (float columns via exact predicate
-/// normalization to a float bound, int64/bool columns via the same scalar
-/// double compare), residual conditions use the expression evaluator
-/// itself. Residual conditions are evaluated on all window rows (survivors
-/// of the mask AND are unchanged because conditions are row-local); the
-/// planner only fuses conditions that cannot fail per-row (no div/mod).
+/// the scan's comparison rule (ComparesInt64: int64 when both sides are
+/// Int64, float otherwise; float columns through the 8-lane compare kernel),
+/// residual conditions use the expression evaluator itself. Residual
+/// conditions are evaluated on all window rows (survivors of the mask AND
+/// are unchanged because conditions are row-local); the planner only fuses
+/// conditions that cannot fail per-row (no div/mod).
 class FusedTableScanOperator final : public Operator {
  public:
   /// Tag type selecting the morsel-bound constructor.
@@ -65,7 +65,6 @@ class FusedTableScanOperator final : public Operator {
   const ScanStats& stats() const { return stats_; }
 
  private:
-  bool CanPruneBlock(int64_t block_index) const;
   /// ANDs predicate `p` over window rows [begin, begin + rows) into mask_.
   void ApplyPredicate(const ScanPredicate& p, int64_t begin, int64_t rows);
   /// ANDs all residual conditions over the window into mask_.

@@ -9,6 +9,7 @@
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "exec/operator.h"
+#include "exec/scan.h"
 #include "storage/table.h"
 
 namespace indbml::exec {
@@ -30,8 +31,16 @@ struct Morsel {
 /// never straddle two morsels. That keeps id-rooted streaming aggregation
 /// over a morsel row-identical to serial execution: every group is fully
 /// contained in exactly one morsel.
-std::vector<storage::PartitionRange> MakeMorsels(const storage::Table& table,
-                                                 int64_t morsel_rows);
+///
+/// `predicates` are the pushed predicates of the plan's partitioned scan.
+/// A morsel is dropped when the zone maps reject every block it overlaps
+/// (ZoneMapRejectsBlock), so a selective range query dispatches only the
+/// morsels that can return rows; a partly matching block keeps its morsel.
+/// The kept morsels stay in table order. Dropped morsels are counted in the
+/// `exec.morsels_pruned` counter.
+std::vector<storage::PartitionRange> MakeMorsels(
+    const storage::Table& table, int64_t morsel_rows,
+    const std::vector<ScanPredicate>& predicates = {});
 
 /// \brief Shared work queue of morsels with an atomic claim cursor.
 ///

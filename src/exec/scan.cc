@@ -6,28 +6,46 @@ namespace indbml::exec {
 
 namespace {
 
-/// Evaluates `lhs op rhs` over doubles (types are homogeneous per column, so
-/// numeric comparison is exact for the int ranges the workloads use).
-bool CompareDoubles(double lhs, BinaryOp op, double rhs) {
+/// Can any value in [lo, hi] satisfy `x op v`?
+template <typename T>
+bool RangeMayMatch(T lo, T hi, BinaryOp op, T v) {
   switch (op) {
     case BinaryOp::kEq:
-      return lhs == rhs;
+      return lo <= v && v <= hi;
     case BinaryOp::kNe:
-      return lhs != rhs;
+      return !(lo == v && hi == v);
     case BinaryOp::kLt:
-      return lhs < rhs;
+      return lo < v;
     case BinaryOp::kLe:
-      return lhs <= rhs;
+      return lo <= v;
     case BinaryOp::kGt:
-      return lhs > rhs;
+      return hi > v;
     case BinaryOp::kGe:
-      return lhs >= rhs;
+      return hi >= v;
     default:
       return true;
   }
 }
 
 }  // namespace
+
+bool ZoneMapRejectsBlock(const storage::Table& table, int64_t block,
+                         const std::vector<ScanPredicate>& predicates) {
+  for (const ScanPredicate& p : predicates) {
+    const storage::BlockStats& bs =
+        table.block_stats(p.column)[static_cast<size_t>(block)];
+    if (bs.has_nan && p.op == BinaryOp::kNe) continue;
+    // Int64-to-float rounding is monotone, so the float bounds still
+    // enclose every row's float value.
+    const bool may_match =
+        ComparesInt64(table, p)
+            ? RangeMayMatch(bs.min.i, bs.max.i, p.op, p.value.i)
+            : RangeMayMatch(bs.min.AsFloat(), bs.max.AsFloat(), p.op,
+                            p.value.AsFloat());
+    if (!may_match) return true;
+  }
+  return false;
+}
 
 TableScanOperator::TableScanOperator(storage::TablePtr table,
                                      storage::PartitionRange range,
@@ -69,58 +87,26 @@ Status TableScanOperator::Rewind(ExecContext* ctx) {
   return Status::OK();
 }
 
-bool TableScanOperator::CanPruneBlock(int64_t block_index) const {
-  for (const ScanPredicate& p : predicates_) {
-    const auto& stats = table_->block_stats(p.column);
-    const storage::BlockStats& bs = stats[static_cast<size_t>(block_index)];
-    double lo = bs.min.AsDouble();
-    double hi = bs.max.AsDouble();
-    double v = p.value.AsDouble();
-    bool may_match = true;
-    switch (p.op) {
-      case BinaryOp::kEq:
-        may_match = lo <= v && v <= hi;
-        break;
-      case BinaryOp::kLt:
-        may_match = lo < v;
-        break;
-      case BinaryOp::kLe:
-        may_match = lo <= v;
-        break;
-      case BinaryOp::kGt:
-        may_match = hi > v;
-        break;
-      case BinaryOp::kGe:
-        may_match = hi >= v;
-        break;
-      case BinaryOp::kNe:
-        may_match = !(lo == v && hi == v);
-        break;
-      default:
-        may_match = true;
-        break;
-    }
-    if (!may_match) return true;
-  }
-  return false;
-}
-
 bool TableScanOperator::RowPasses(int64_t r) const {
   for (const ScanPredicate& p : predicates_) {
     const storage::Column& col = table_->column(p.column);
-    double v;
+    if (ComparesInt64(*table_, p)) {
+      if (!CompareScalars(col.GetInt64(r), p.op, p.value.i)) return false;
+      continue;
+    }
+    float v;
     switch (col.type()) {
       case DataType::kInt64:
-        v = static_cast<double>(col.GetInt64(r));
+        v = static_cast<float>(col.GetInt64(r));
         break;
       case DataType::kFloat:
         v = col.GetFloat(r);
         break;
       default:
-        v = col.GetBool(r) ? 1 : 0;
+        v = col.GetBool(r) ? 1.0f : 0.0f;
         break;
     }
-    if (!CompareDoubles(v, p.op, p.value.AsDouble())) return false;
+    if (!CompareScalars(v, p.op, p.value.AsFloat())) return false;
   }
   return true;
 }
@@ -135,7 +121,7 @@ Status TableScanOperator::Next(ExecContext*, DataChunk* out, bool* eof) {
       int64_t block_end = std::min((block + 1) * rows_per_block, range_.end);
       if (cursor_ % rows_per_block == 0 && block_end <= range_.end) {
         ++stats_.blocks_total;
-        if (CanPruneBlock(block)) {
+        if (ZoneMapRejectsBlock(*table_, block, predicates_)) {
           ++stats_.blocks_pruned;
           cursor_ = block_end;
           continue;

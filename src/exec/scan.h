@@ -19,6 +19,45 @@ struct ScanPredicate {
   Value value;
 };
 
+/// `lhs op rhs` for one pair of scalars; an op that is not a comparison
+/// passes every row.
+template <typename T>
+bool CompareScalars(T lhs, BinaryOp op, T rhs) {
+  switch (op) {
+    case BinaryOp::kEq:
+      return lhs == rhs;
+    case BinaryOp::kNe:
+      return lhs != rhs;
+    case BinaryOp::kLt:
+      return lhs < rhs;
+    case BinaryOp::kLe:
+      return lhs <= rhs;
+    case BinaryOp::kGt:
+      return lhs > rhs;
+    case BinaryOp::kGe:
+      return lhs >= rhs;
+    default:
+      return true;
+  }
+}
+
+/// True when predicate `p` on `table` compares in int64: an Int64 constant
+/// against an Int64 column. Every other pairing compares in float (both
+/// sides through Value::AsFloat's rule). That is the expression evaluator's
+/// rule, so a pushed predicate passes exactly the rows the Filter it
+/// replaces would pass.
+inline bool ComparesInt64(const storage::Table& table, const ScanPredicate& p) {
+  return p.value.type == DataType::kInt64 &&
+         table.fields()[static_cast<size_t>(p.column)].type == DataType::kInt64;
+}
+
+/// The zone-map test shared by both scans and by morsel generation: true if
+/// the block min/max values prove that no row of block `block` of `table`
+/// passes every predicate. Conservative: a block that might hold a passing
+/// row is never rejected. Its NaN rows pass `!=` only.
+bool ZoneMapRejectsBlock(const storage::Table& table, int64_t block,
+                         const std::vector<ScanPredicate>& predicates);
+
 /// Statistics a scan reports after Close (observability + pruning tests).
 struct ScanStats {
   int64_t blocks_total = 0;
@@ -58,8 +97,6 @@ class TableScanOperator final : public Operator {
   const ScanStats& stats() const { return stats_; }
 
  private:
-  /// True if the block [block_begin, block_end) can be skipped entirely.
-  bool CanPruneBlock(int64_t block_index) const;
   /// True if row `r` passes all pushed predicates.
   bool RowPasses(int64_t r) const;
 

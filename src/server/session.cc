@@ -4,7 +4,6 @@
 
 #include "common/metrics.h"
 #include "common/stopwatch.h"
-#include "exec/morsel.h"
 #include "server/server.h"
 
 namespace indbml::server {
@@ -94,8 +93,9 @@ Result<std::shared_ptr<QueryHandle>> Session::SubmitPlan(
   spec.catalog = engine->catalog();
   spec.priority = priority;
   if (planner->num_workers() > 1) {
-    spec.morsels =
-        exec::MakeMorsels(*prep.analysis.partitioned_table, opts.morsel_rows);
+    // All morsels pruned: Submit runs the job as one serial drain of a
+    // morsel-bound instance, which yields the empty result with its schema.
+    spec.morsels = std::move(prep.morsels);
     spec.num_instances = planner->num_workers();
   } else {
     spec.serial = true;

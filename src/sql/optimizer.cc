@@ -113,6 +113,16 @@ bool IsRenameOnlyProject(const LogicalOp& op) {
   return true;
 }
 
+/// Puts `conj` in a new Filter between `*slot` and its parent.
+void InsertFilter(LogicalOpPtr* slot, ExprPtr conj) {
+  auto filter = std::make_unique<LogicalOp>();
+  filter->kind = LogicalKind::kFilter;
+  filter->condition = std::move(conj);
+  filter->outputs = (*slot)->outputs;
+  filter->children.push_back(std::move(*slot));
+  *slot = std::move(filter);
+}
+
 /// Attempts to absorb `conj` somewhere at-or-below `node`; returns true if
 /// the conjunct was consumed.
 bool TryPushConjunct(LogicalOp* node, ExprPtr& conj, bool allow_join_conversion) {
@@ -148,13 +158,7 @@ bool TryPushConjunct(LogicalOp* node, ExprPtr& conj, bool allow_join_conversion)
         LogicalOp* child = node->children[static_cast<size_t>(side)].get();
         if (!RefsSubsetOf(*conj, OutputIdSet(*child))) continue;
         if (TryPushConjunct(child, conj, allow_join_conversion)) return true;
-        auto filter = std::make_unique<LogicalOp>();
-        filter->kind = LogicalKind::kFilter;
-        filter->condition = std::move(conj);
-        filter->outputs = child->outputs;
-        filter->children.push_back(
-            std::move(node->children[static_cast<size_t>(side)]));
-        node->children[static_cast<size_t>(side)] = std::move(filter);
+        InsertFilter(&node->children[static_cast<size_t>(side)], std::move(conj));
         return true;
       }
       // An equality spanning both sides becomes a(nother) hash-join key —
@@ -185,6 +189,16 @@ bool TryPushConjunct(LogicalOp* node, ExprPtr& conj, bool allow_join_conversion)
       }
       return false;
     }
+    case LogicalKind::kModelJoin: {
+      // Selection below inference: a conjunct over the child's columns
+      // filters the rows before they are scored; one that reads a
+      // prediction column stays above.
+      LogicalOp* child = node->children[0].get();
+      if (!RefsSubsetOf(*conj, OutputIdSet(*child))) return false;
+      if (TryPushConjunct(child, conj, allow_join_conversion)) return true;
+      InsertFilter(&node->children[0], std::move(conj));
+      return true;
+    }
     case LogicalKind::kProject: {
       if (!IsRenameOnlyProject(*node)) return false;
       std::unordered_map<int64_t, int64_t> mapping;
@@ -197,12 +211,7 @@ bool TryPushConjunct(LogicalOp* node, ExprPtr& conj, bool allow_join_conversion)
                           allow_join_conversion)) {
         return true;
       }
-      auto filter = std::make_unique<LogicalOp>();
-      filter->kind = LogicalKind::kFilter;
-      filter->condition = std::move(rewritten);
-      filter->outputs = node->children[0]->outputs;
-      filter->children.push_back(std::move(node->children[0]));
-      node->children[0] = std::move(filter);
+      InsertFilter(&node->children[0], std::move(rewritten));
       return true;
     }
     default:
@@ -567,6 +576,7 @@ PlanAnalysis Optimizer::Analyze(const LogicalOp& plan) const {
     return analysis;
   }
   analysis.partitioned_table = leaf->table.get();
+  analysis.partition_predicates = leaf->pushed;
 
   // Partition-property propagation over the whole tree. `has` marks a
   // subtree containing a partitioned scan; `col` is the binding id of the

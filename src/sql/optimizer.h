@@ -32,6 +32,12 @@ struct PlanAnalysis {
   /// The table whose scans are partitioned across threads (the fact table
   /// at the leftmost-deepest leaf); null if the plan has no scan.
   const storage::Table* partitioned_table = nullptr;
+  /// Pushed predicates of that leftmost-deepest scan. Morsel generation
+  /// drops the morsels whose blocks they reject: in a parallel-safe plan
+  /// every join is an inner join probed from this scan and every aggregate
+  /// groups on the partition column, so a morsel where the scan emits
+  /// nothing contributes no output row.
+  std::vector<exec::ScanPredicate> partition_predicates;
 };
 
 /// \brief Rule-based optimizer over the bound logical plan.

@@ -82,8 +82,13 @@ Result<QueryEngine::PhysicalPrep> QueryEngine::PreparePhysical(
       &plan, prep.analysis, max_workers, modeljoin_state_factory_,
       modeljoin_operator_factory_, profile, opts.shared_models, opts.inference);
   INDBML_RETURN_NOT_OK(prep.planner->Prepare());
-  if (prep.planner->num_workers() > 1 && validation::Enabled()) {
-    INDBML_RETURN_NOT_OK(ValidateMorselSafety(plan, prep.analysis));
+  if (prep.planner->num_workers() > 1) {
+    if (validation::Enabled()) {
+      INDBML_RETURN_NOT_OK(ValidateMorselSafety(plan, prep.analysis));
+    }
+    prep.morsels = exec::MakeMorsels(*prep.analysis.partitioned_table,
+                                     opts.morsel_rows,
+                                     prep.analysis.partition_predicates);
   }
   return prep;
 }
@@ -109,8 +114,10 @@ Result<exec::QueryResult> QueryEngine::ExecutePlan(const LogicalOp& plan,
 
   auto run = [&]() -> Result<exec::QueryResult> {
     if (planner.num_workers() > 1) {
-      exec::MorselSource source(
-          exec::MakeMorsels(*prep.analysis.partitioned_table, opts.morsel_rows));
+      // Every morsel may have been pruned: the workers still open (and
+      // build the model), and the collector assembles an empty result
+      // with the plan's schema.
+      exec::MorselSource source(std::move(prep.morsels));
       exec::WorkerPlanFactory factory = [&](int worker) {
         return planner.Instantiate(worker);
       };

@@ -50,12 +50,17 @@ class QueryEngine {
   };
 
   /// Physical execution prep shared by the engine's own ExecutePlan and the
-  /// serving layer (server/session.cc): the analyzed plan and the lowered
-  /// per-worker planner. More than one planner worker means the plan runs
-  /// morsel-driven; one means a serial drain of instance 0.
+  /// serving layer (server/session.cc): the analyzed plan, the lowered
+  /// per-worker planner and its morsels. More than one planner worker means
+  /// the plan runs morsel-driven over `morsels`; one means a serial drain of
+  /// instance 0.
   struct PhysicalPrep {
     std::unique_ptr<PhysicalPlanner> planner;
     PlanAnalysis analysis;
+    /// The partitioned table's morsels, minus those its scan's pushed
+    /// predicates rule out (exec::MakeMorsels); empty for a serial plan.
+    /// Every morsel may be pruned: the plan then yields an empty result.
+    std::vector<storage::PartitionRange> morsels;
   };
 
   QueryEngine();
@@ -115,9 +120,9 @@ class QueryEngine {
   /// Analyzes `plan` and lowers it under the given options snapshot: for
   /// `max_workers` morsel-driven worker instances when the plan is
   /// parallel-safe and `max_workers` > 1, for one serial instance
-  /// otherwise. Used by ExecutePlan and by
-  /// the shared executor path (server/session.cc), which schedules the
-  /// returned planner's instances itself. ModelJoin shared state is created
+  /// otherwise; a morsel-driven plan also gets its morsel list. Used by
+  /// ExecutePlan and by the shared executor path (server/session.cc), which
+  /// schedules the returned planner's instances itself. ModelJoin shared state is created
   /// here (registry lookup when `opts.shared_models`).
   Result<PhysicalPrep> PreparePhysical(const LogicalOp& plan, const Options& opts,
                                        int max_workers,

@@ -1,7 +1,9 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "common/string_util.h"
 
@@ -103,6 +105,41 @@ void Table::Reserve(int64_t n) {
   for (auto& c : columns_) c.Reserve(num_rows_ + n);
 }
 
+namespace {
+
+template <typename T>
+bool IsNaN(T x) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::isnan(x);
+  } else {
+    return false;
+  }
+}
+
+/// Zone map of `data[begin, end)`, compared in the column's own type: int64
+/// ids above 2^53 that round together through double keep their true
+/// min/max. NaN is left out of the bounds and flagged instead.
+template <typename T>
+BlockStats MinMax(const T* data, int64_t begin, int64_t end, Value (*make)(T)) {
+  T lo = data[begin];
+  T hi = data[begin];
+  bool has_nan = false;
+  for (int64_t r = begin; r < end; ++r) {
+    const T x = data[r];
+    if (IsNaN(x)) {
+      has_nan = true;
+      continue;
+    }
+    if (IsNaN(lo) || x < lo) lo = x;
+    if (IsNaN(hi) || hi < x) hi = x;
+  }
+  return {make(lo), make(hi), has_nan};
+}
+
+Value MakeBool(uint8_t v) { return Value::Bool(v != 0); }
+
+}  // namespace
+
 void Table::Finalize() {
   if (finalized_) return;
   finalized_ = true;
@@ -115,15 +152,17 @@ void Table::Finalize() {
     for (int64_t b = 0; b < blocks; ++b) {
       int64_t begin = b * rows_per_block_;
       int64_t end = std::min(begin + rows_per_block_, num_rows_);
-      BlockStats bs;
-      bs.min = col.GetValue(begin);
-      bs.max = bs.min;
-      for (int64_t r = begin + 1; r < end; ++r) {
-        Value v = col.GetValue(r);
-        if (v.AsDouble() < bs.min.AsDouble()) bs.min = v;
-        if (v.AsDouble() > bs.max.AsDouble()) bs.max = v;
+      switch (col.type()) {
+        case DataType::kInt64:
+          stats_[ci].push_back(MinMax(col.int_data(), begin, end, &Value::Int64));
+          break;
+        case DataType::kFloat:
+          stats_[ci].push_back(MinMax(col.float_data(), begin, end, &Value::Float));
+          break;
+        case DataType::kBool:
+          stats_[ci].push_back(MinMax(col.bool_data(), begin, end, &MakeBool));
+          break;
       }
-      stats_[ci].push_back(bs);
     }
   }
 }

@@ -21,8 +21,11 @@ namespace indbml::storage {
 /// Small Materialized Aggregates / zone maps (§4.4), used by scans for
 /// block pruning of model tables.
 struct BlockStats {
+  /// Bounds of the block's non-NaN values (NaN when every value is NaN).
   Value min;
   Value max;
+  /// True if the block holds a float NaN, which passes only `!=`.
+  bool has_nan = false;
 };
 
 /// Contiguous range of rows of a table: one scheduling morsel, or the whole

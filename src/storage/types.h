@@ -80,6 +80,20 @@ struct Value {
     return 0;
   }
 
+  /// The float an expression compares this value in when the other operand
+  /// is not also an int64 (the evaluator casts int64 straight to float).
+  float AsFloat() const {
+    switch (type) {
+      case DataType::kBool:
+        return b ? 1.0f : 0.0f;
+      case DataType::kInt64:
+        return static_cast<float>(i);
+      case DataType::kFloat:
+        return f;
+    }
+    return 0;
+  }
+
   std::string ToString() const;
 };
 

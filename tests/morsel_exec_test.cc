@@ -50,7 +50,11 @@ storage::TablePtr MakeIdTable(const std::string& name, int64_t rows,
 
 TEST(MakeMorselsTest, CoversTableContiguously) {
   auto table = MakeIdTable("t", 10000, 1);
+  metrics::Counter* pruned =
+      metrics::Registry::Global().counter("exec.morsels_pruned");
+  const int64_t pruned_before = pruned->value();
   auto morsels = exec::MakeMorsels(*table, 1024);
+  EXPECT_EQ(pruned->value(), pruned_before) << "no predicates, nothing pruned";
   ASSERT_FALSE(morsels.empty());
   EXPECT_EQ(morsels.front().begin, 0);
   EXPECT_EQ(morsels.back().end, 10000);
@@ -83,6 +87,80 @@ TEST(MakeMorselsTest, NonPositiveSizeFallsBackToDefault) {
   auto table = MakeIdTable("t", kDefaultMorselRows + 5, 1);
   auto morsels = exec::MakeMorsels(*table, 0);
   EXPECT_EQ(static_cast<int64_t>(morsels.size()), 2);
+}
+
+exec::ScanPredicate IdPredicate(exec::BinaryOp op, int64_t value) {
+  exec::ScanPredicate p;
+  p.column = 0;  // MakeIdTable's id column
+  p.op = op;
+  p.value = storage::Value::Int64(value);
+  return p;
+}
+
+bool SameRange(const storage::PartitionRange& a, const storage::PartitionRange& b) {
+  return a.begin == b.begin && a.end == b.end;
+}
+
+TEST(MakeMorselsTest, PrunedMorselsStayOrderedAndGroupAligned) {
+  // 7 rows per id, morsels of 1001 rows, blocks of 4096: ids 1171..1999
+  // live in rows 8197..13999 (blocks 2-3), so only the morsels overlapping
+  // those blocks survive, and each survivor is one of the unpruned morsels.
+  // The morsel [8008, 9009) also overlaps the rejected block 1 and must be
+  // kept for its rows in block 2.
+  auto table = MakeIdTable("t", 7 * 3000, 7);
+  const std::vector<exec::ScanPredicate> range = {
+      IdPredicate(exec::BinaryOp::kGe, 1171), IdPredicate(exec::BinaryOp::kLe, 1999)};
+  metrics::Counter* pruned =
+      metrics::Registry::Global().counter("exec.morsels_pruned");
+  const int64_t before = pruned->value();
+  auto all = exec::MakeMorsels(*table, 1000);
+  auto kept = exec::MakeMorsels(*table, 1000, range);
+  ASSERT_FALSE(kept.empty());
+  ASSERT_LT(kept.size(), all.size());
+  EXPECT_EQ(pruned->value() - before, static_cast<int64_t>(all.size() - kept.size()));
+
+  const storage::Column& id = table->column(0);
+  size_t next = 0;
+  for (size_t k = 0; k < kept.size(); ++k) {
+    while (next < all.size() && !SameRange(all[next], kept[k])) ++next;
+    ASSERT_LT(next, all.size()) << "kept morsel " << k << " is not an unpruned "
+                                   "morsel in table order";
+    ++next;
+    ASSERT_LT(kept[k].begin, kept[k].end);
+    if (kept[k].end < table->num_rows()) {
+      EXPECT_NE(id.GetInt64(kept[k].end), id.GetInt64(kept[k].end - 1))
+          << "kept morsel " << k << " splits an id group";
+    }
+  }
+  // Every matching row lies in a kept morsel.
+  for (int64_t r = 0; r < table->num_rows(); ++r) {
+    const int64_t v = id.GetInt64(r);
+    if (v < 1171 || v > 1999) continue;
+    bool covered = false;
+    for (const auto& m : kept) covered = covered || (m.begin <= r && r < m.end);
+    ASSERT_TRUE(covered) << "matching row " << r << " was pruned";
+  }
+}
+
+TEST(MakeMorselsTest, PartlyMatchingBlockKeepsItsMorsel) {
+  // One block per morsel; the range touches only the last row of block 0
+  // and the first row of block 1, so exactly those two morsels survive.
+  const int64_t rows_per_block = kRowsPerBlock;
+  auto table = MakeIdTable("t", rows_per_block * 4, 1);
+  auto kept = exec::MakeMorsels(
+      *table, rows_per_block,
+      {IdPredicate(exec::BinaryOp::kGe, rows_per_block - 1),
+       IdPredicate(exec::BinaryOp::kLe, rows_per_block)});
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[0].begin, 0);
+  EXPECT_EQ(kept[0].end, rows_per_block);
+  EXPECT_EQ(kept[1].begin, rows_per_block);
+  EXPECT_EQ(kept[1].end, 2 * rows_per_block);
+
+  // A range past the last id rules out every morsel.
+  EXPECT_TRUE(exec::MakeMorsels(*table, rows_per_block,
+                                {IdPredicate(exec::BinaryOp::kGe, 1000000000)})
+                  .empty());
 }
 
 TEST(DataChunkResetTest, ReusesColumnBuffersAcrossResets) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "nn/model.h"
+#include "nn/model_meta.h"
 #include "sql/binder.h"
 #include "sql/lexer.h"
 #include "sql/optimizer.h"
@@ -229,6 +231,133 @@ TEST_F(OptimizerTest, DisabledPushdownKeepsFilter) {
   engine_->set_options(options);
   std::string plan = Plan("SELECT id FROM fact WHERE x > 1.5");
   EXPECT_NE(plan.find("Filter"), std::string::npos) << plan;
+}
+
+// ---------- predicate pushdown through MODEL JOIN ----------
+
+/// Plans over `feat(id, a, b, c, d) MODEL JOIN m USING MODEL 'dense'`. The
+/// binder needs only the model metadata and a table named like the model
+/// table, so no relational model representation is deployed.
+class ModelJoinPushdownTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    engine_ = std::make_unique<sql::QueryEngine>();
+    auto feat = MakeTable("feat",
+                          {{"id", exec::DataType::kInt64},
+                           {"a", exec::DataType::kFloat},
+                           {"b", exec::DataType::kFloat},
+                           {"c", exec::DataType::kFloat},
+                           {"d", exec::DataType::kFloat}},
+                          {{I(0), F(1), F(2), F(3), F(4)},
+                           {I(1), F(5), F(6), F(7), F(8)}});
+    feat->SetUniqueIdColumn("id");
+    feat->SetSortedBy({"id"});
+    ASSERT_OK(engine_->catalog()->CreateTable(feat));
+    ASSERT_OK(engine_->catalog()->CreateTable(
+        MakeTable("m", {{"w", exec::DataType::kFloat}}, {{F(0)}})));
+    ASSERT_OK_AND_ASSIGN(nn::Model model, nn::MakeDenseBenchmarkModel(4, 1, 3));
+    engine_->models()->Register(nn::MetaOf(model, "dense"));
+  }
+
+  static std::string Query(const std::string& where) {
+    return "SELECT id, prediction FROM feat MODEL JOIN m USING MODEL 'dense' "
+           "DEVICE 'cpu' PREDICT (a, b, c, d) WHERE " +
+           where;
+  }
+
+  sql::LogicalOpPtr Plan(const std::string& where) {
+    auto plan = engine_->PlanQuery(Query(where));
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return plan.ok() ? std::move(plan).ValueOrDie() : nullptr;
+  }
+
+  static const sql::LogicalOp* Find(const sql::LogicalOp& node,
+                                    sql::LogicalKind kind) {
+    if (node.kind == kind) return &node;
+    for (const auto& child : node.children) {
+      if (const sql::LogicalOp* found = Find(*child, kind)) return found;
+    }
+    return nullptr;
+  }
+
+  /// The Filter directly above the ModelJoin, or null.
+  static const sql::LogicalOp* FilterAbove(const sql::LogicalOp& node) {
+    if (node.kind == sql::LogicalKind::kFilter &&
+        node.children[0]->kind == sql::LogicalKind::kModelJoin) {
+      return &node;
+    }
+    for (const auto& child : node.children) {
+      if (const sql::LogicalOp* found = FilterAbove(*child)) return found;
+    }
+    return nullptr;
+  }
+
+  std::unique_ptr<sql::QueryEngine> engine_;
+};
+
+TEST_F(ModelJoinPushdownTest, FactColumnFilterBecomesScanPredicate) {
+  auto plan = Plan("id >= 4096 AND id <= 4195");
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(Find(*plan, sql::LogicalKind::kFilter), nullptr) << plan->ToString();
+  const sql::LogicalOp* mj = Find(*plan, sql::LogicalKind::kModelJoin);
+  ASSERT_NE(mj, nullptr);
+  const sql::LogicalOp& scan = *mj->children[0];
+  ASSERT_EQ(scan.kind, sql::LogicalKind::kScan) << plan->ToString();
+  ASSERT_EQ(scan.pushed.size(), 2u);
+  EXPECT_EQ(scan.pushed[0].op, exec::BinaryOp::kGe);
+  EXPECT_EQ(scan.pushed[0].value.i, 4096);
+  EXPECT_EQ(scan.pushed[1].op, exec::BinaryOp::kLe);
+  EXPECT_EQ(scan.pushed[1].value.i, 4195);
+
+  // The analysis hands the same predicates to morsel generation.
+  sql::Optimizer optimizer(engine_->options().optimizer);
+  sql::PlanAnalysis analysis = optimizer.Analyze(*plan);
+  EXPECT_TRUE(analysis.parallel_safe);
+  EXPECT_EQ(analysis.partition_predicates.size(), 2u);
+}
+
+TEST_F(ModelJoinPushdownTest, PredictionFilterStaysAboveModelJoin) {
+  auto plan = Plan("prediction > 0.5");
+  ASSERT_NE(plan, nullptr);
+  const sql::LogicalOp* filter = FilterAbove(*plan);
+  ASSERT_NE(filter, nullptr) << plan->ToString();
+  EXPECT_NE(filter->condition->ToString().find("prediction"), std::string::npos);
+  const sql::LogicalOp* scan = Find(*plan, sql::LogicalKind::kScan);
+  EXPECT_TRUE(scan->pushed.empty()) << plan->ToString();
+}
+
+TEST_F(ModelJoinPushdownTest, MixedConjunctionSplits) {
+  // One conjunct per destination: a scan predicate, a residual filter over
+  // the child's columns under the ModelJoin, and a prediction filter above.
+  auto plan = Plan("id >= 1 AND prediction > 0.5 AND a + b > 3.0");
+  ASSERT_NE(plan, nullptr);
+  const sql::LogicalOp* above = FilterAbove(*plan);
+  ASSERT_NE(above, nullptr) << plan->ToString();
+  const std::string above_cond = above->condition->ToString();
+  EXPECT_NE(above_cond.find("prediction"), std::string::npos) << plan->ToString();
+  EXPECT_EQ(above_cond.find("id"), std::string::npos) << plan->ToString();
+
+  const sql::LogicalOp* mj = Find(*plan, sql::LogicalKind::kModelJoin);
+  const sql::LogicalOp& below = *mj->children[0];
+  ASSERT_EQ(below.kind, sql::LogicalKind::kFilter) << plan->ToString();
+  EXPECT_EQ(below.condition->ToString().find("prediction"), std::string::npos);
+  const sql::LogicalOp& scan = *below.children[0];
+  ASSERT_EQ(scan.kind, sql::LogicalKind::kScan) << plan->ToString();
+  ASSERT_EQ(scan.pushed.size(), 1u);
+  EXPECT_EQ(scan.pushed[0].op, exec::BinaryOp::kGe);
+}
+
+TEST_F(ModelJoinPushdownTest, DisabledPushdownKeepsFilterAboveModelJoin) {
+  sql::QueryEngine::Options options;
+  options.optimizer.predicate_pushdown = false;
+  engine_->set_options(options);
+  auto plan = Plan("id >= 4096 AND id <= 4195");
+  ASSERT_NE(plan, nullptr);
+  EXPECT_NE(FilterAbove(*plan), nullptr) << plan->ToString();
+  const sql::LogicalOp* scan = Find(*plan, sql::LogicalKind::kScan);
+  EXPECT_TRUE(scan->pushed.empty()) << plan->ToString();
+  sql::Optimizer optimizer(options.optimizer);
+  EXPECT_TRUE(optimizer.Analyze(*plan).partition_predicates.empty());
 }
 
 }  // namespace

@@ -8,15 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "benchlib/workloads.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
+#include "common/validation.h"
 #include "mltosql/mltosql.h"
 #include "modeljoin/model_registry.h"
 #include "modeljoin/register.h"
@@ -414,6 +420,232 @@ TEST_F(ServerTest, SessionOptionSnapshotIsolatesRunningQueries) {
   session->set_options(opts);
   ASSERT_OK_AND_ASSIGN(auto result, handle->Wait());
   EXPECT_EQ(result.num_rows, 1);
+}
+
+// ---------- range queries over MODEL JOIN: pushdown result identity ----------
+
+/// Same names, types, row count and row order, and equal bits in every cell.
+void ExpectBitIdentical(const exec::QueryResult& got,
+                        const exec::QueryResult& want) {
+  ASSERT_EQ(got.names, want.names);
+  ASSERT_EQ(got.types, want.types);
+  ASSERT_EQ(got.num_rows, want.num_rows);
+  for (int64_t r = 0; r < want.num_rows; ++r) {
+    for (size_t c = 0; c < want.types.size(); ++c) {
+      const exec::Value a = got.GetValue(r, static_cast<int64_t>(c));
+      const exec::Value b = want.GetValue(r, static_cast<int64_t>(c));
+      ASSERT_EQ(a.type, b.type) << "row " << r << " col " << c;
+      ASSERT_EQ(a.i, b.i) << "row " << r << " col " << c;
+      ASSERT_EQ(a.b, b.b) << "row " << r << " col " << c;
+      ASSERT_EQ(std::memcmp(&a.f, &b.f, sizeof(float)), 0)
+          << "row " << r << " col " << c << ": " << a.f << " vs " << b.f;
+    }
+  }
+}
+
+/// Id-range filters over a ModelJoin run with the filter pushed into the
+/// fact scan and the zone-pruned morsels skipped. Every configuration must
+/// return exactly what a serial run with pushdown off returns (the filter
+/// above the ModelJoin, every row scored): bare engine and served through
+/// Session (batcher and result cache on), at 1 and 4 workers.
+class PushdownIdentityTest : public ServerTest {
+ protected:
+  /// Past the first morsel edge at the default morsel size (16384 rows).
+  static constexpr int64_t kRows = 20000;
+
+  static void Deploy(sql::QueryEngine* engine, const storage::TablePtr& fact,
+                     const nn::Model& model, const std::string& name) {
+    engine->catalog()->CreateOrReplaceTable(fact);
+    mltosql::MlToSql framework(&model, "m");
+    ASSERT_OK(framework.Deploy(engine));
+    engine->models()->Register(nn::MetaOf(model, name));
+  }
+
+  /// Builds the pushdown-off serial reference and, at 1 and 4 workers, a
+  /// bare engine and a server, each holding `fact` and `model`.
+  void SetUpEngines(const storage::TablePtr& fact, const nn::Model& model,
+                    const std::string& name) {
+    sql::QueryEngine::Options ref_options;
+    ref_options.worker_threads = 1;
+    ref_options.optimizer.predicate_pushdown = false;
+    reference_ = std::make_unique<sql::QueryEngine>(ref_options);
+    modeljoin::RegisterNativeModelJoin(reference_.get());
+    Deploy(reference_.get(), fact, model, name);
+    for (int workers : {1, 4}) {
+      sql::QueryEngine::Options options;
+      options.worker_threads = workers;
+      engines_.push_back(std::make_unique<sql::QueryEngine>(options));
+      modeljoin::RegisterNativeModelJoin(engines_.back().get());
+      Deploy(engines_.back().get(), fact, model, name);
+      server::QueryServer::Options server_options;
+      server_options.worker_threads = workers;
+      servers_.push_back(MakeServer(server_options));
+      Deploy(servers_.back()->engine(), fact, model, name);
+    }
+  }
+
+  /// Runs `sql` on the reference into `*want`, expecting `rows` rows (-1:
+  /// at least one), then expects every configuration to return it
+  /// bit-identically, twice through a Session (the second run hits the plan
+  /// and inference caches).
+  void ExpectMatchesReference(const std::string& sql, int64_t rows,
+                              exec::QueryResult* want) {
+    SCOPED_TRACE(sql);
+    ASSERT_OK_AND_ASSIGN(*want, reference_->ExecuteQuery(sql));
+    if (rows >= 0) {
+      ASSERT_EQ(want->num_rows, rows);
+    } else {
+      ASSERT_GT(want->num_rows, 0);
+    }
+    for (size_t i = 0; i < engines_.size(); ++i) {
+      SCOPED_TRACE("configuration " + std::to_string(i));
+      ASSERT_OK_AND_ASSIGN(auto bare, engines_[i]->ExecuteQuery(sql));
+      ExpectBitIdentical(bare, *want);
+      auto session = servers_[i]->CreateSession();
+      for (int run = 0; run < 2; ++run) {
+        ASSERT_OK_AND_ASSIGN(auto served, session->ExecuteQuery(sql));
+        ExpectBitIdentical(served, *want);
+      }
+    }
+  }
+
+  /// `residual` is a condition over two model inputs that stays a filter
+  /// under the ModelJoin instead of becoming a scan predicate.
+  void ExpectIdentical(const storage::TablePtr& fact, const nn::Model& model,
+                       const std::string& name, const std::string& inputs,
+                       const std::string& residual) {
+    SetUpEngines(fact, model, name);
+    const std::string select = "SELECT id, prediction FROM " + fact->name() +
+                               " MODEL JOIN m USING MODEL '" + name +
+                               "' DEVICE 'cpu' PREDICT (" + inputs + ") WHERE ";
+    // A prediction threshold that splits the first 3000 rows about evenly.
+    ASSERT_OK_AND_ASSIGN(auto head, reference_->ExecuteQuery(select + "id < 3000"));
+    std::vector<float> predictions;
+    for (int64_t r = 0; r < head.num_rows; ++r) {
+      predictions.push_back(head.GetValue(r, 1).f);
+    }
+    ASSERT_FALSE(predictions.empty());
+    std::nth_element(predictions.begin(),
+                     predictions.begin() + predictions.size() / 2, predictions.end());
+    char threshold[32];
+    std::snprintf(threshold, sizeof(threshold), "%.6f",
+                  predictions[predictions.size() / 2]);
+
+    struct Case {
+      std::string where;
+      int64_t rows;  ///< expected row count; -1 = any
+    };
+    const Case cases[] = {
+        {"id >= 4095 AND id <= 4096", 2},             // block edge
+        {"id >= 16383 AND id <= 16384", 2},           // morsel edge
+        {"id >= 4000 AND id < 17000", 13000},         // spans both edges
+        {"id >= 16000 AND id <= 16999 AND " + residual, -1},
+        {"id >= 1000000000", 0},                      // matches nothing
+        {"id < 3000 AND prediction > " + std::string(threshold), -1},
+        {"prediction > " + std::string(threshold), -1},
+    };
+    for (const Case& c : cases) {
+      exec::QueryResult want;
+      ExpectMatchesReference(select + c.where, c.rows, &want);
+      ASSERT_EQ(want.names, (std::vector<std::string>{"id", "prediction"}));
+      ASSERT_EQ(want.types,
+                (std::vector<exec::DataType>{exec::DataType::kInt64,
+                                             exec::DataType::kFloat}));
+    }
+  }
+
+  /// Runs each (WHERE, row count) case over MakeMixedTypeTable.
+  void ExpectCasesMatch(const std::string& columns,
+                        const std::vector<std::pair<std::string, int64_t>>& cases);
+
+  std::unique_ptr<sql::QueryEngine> reference_;
+  std::vector<std::unique_ptr<sql::QueryEngine>> engines_;
+  std::vector<std::unique_ptr<server::QueryServer>> servers_;
+};
+
+TEST_F(PushdownIdentityTest, DenseRangeQueriesMatchUnpushedSerial) {
+  ASSERT_OK_AND_ASSIGN(nn::Model model, nn::MakeDenseBenchmarkModel(16, 3, 21));
+  ExpectIdentical(benchlib::MakeIrisTable("fact", kRows), model, "dense16",
+                  "sepal_length, sepal_width, petal_length, petal_width",
+                  "sepal_length + sepal_width > 8.5");
+}
+
+TEST_F(PushdownIdentityTest, LstmRangeQueriesMatchUnpushedSerial) {
+  ASSERT_OK_AND_ASSIGN(nn::Model model, nn::MakeLstmBenchmarkModel(12, 3, 33));
+  ExpectIdentical(benchlib::MakeSinusTable("series", kRows, 3), model, "lstm12",
+                  "x0, x1, x2", "x0 + x1 > 0.5");
+}
+
+/// Two blocks of ids from 2^24 up, y = 2^24 throughout and model input `a`.
+/// x is 5 except for two NaNs: the first row of block 0 and the second row
+/// of block 1.
+storage::TablePtr MakeMixedTypeTable() {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  auto table = std::make_shared<storage::Table>(
+      "odd", std::vector<storage::Field>{{"id", exec::DataType::kInt64},
+                                         {"x", exec::DataType::kFloat},
+                                         {"y", exec::DataType::kFloat},
+                                         {"a", exec::DataType::kFloat}});
+  for (int64_t r = 0; r < 2 * kRowsPerBlock; ++r) {
+    const bool x_nan = r == 0 || r == kRowsPerBlock + 1;
+    INDBML_CHECK(table
+                     ->AppendRow({storage::Value::Int64((int64_t{1} << 24) + r),
+                                  storage::Value::Float(x_nan ? nan : 5.0f),
+                                  storage::Value::Float(16777216.0f),
+                                  storage::Value::Float(
+                                      static_cast<float>(r % 100) * 0.01f)})
+                     .ok());
+  }
+  table->Finalize();
+  table->SetUniqueIdColumn("id");
+  table->SetSortedBy({"id"});
+  return table;
+}
+
+/// Each WHERE runs over a plain scan of `columns` and over a ModelJoin.
+void PushdownIdentityTest::ExpectCasesMatch(
+    const std::string& columns,
+    const std::vector<std::pair<std::string, int64_t>>& cases) {
+  ASSERT_OK_AND_ASSIGN(nn::Model model, nn::MakeDenseBenchmarkModel(16, 3, 21));
+  SetUpEngines(MakeMixedTypeTable(), model, "dense16");
+  const std::string model_join =
+      "SELECT id, prediction FROM odd MODEL JOIN m USING MODEL 'dense16' "
+      "DEVICE 'cpu' PREDICT (a, a, a, a) WHERE ";
+  for (const auto& [where, rows] : cases) {
+    exec::QueryResult want;
+    ExpectMatchesReference("SELECT " + columns + " FROM odd WHERE " + where, rows,
+                           &want);
+    ExpectMatchesReference(model_join + where, rows, &want);
+  }
+}
+
+/// A pushed predicate passes the rows the Filter it replaces passes, which
+/// compares an Int64 with a Float in float: there ids 2^24 and 2^24 + 1 are
+/// equal, and the constant 16777217 is 2^24.
+TEST_F(PushdownIdentityTest, MixedTypePredicatesMatchUnpushedSerial) {
+  constexpr int64_t kOddRows = 2 * kRowsPerBlock;
+  ExpectCasesMatch("id, y", {{"id > 16777216.0", kOddRows - 2},
+                             {"id = 16777216.0", 2},
+                             {"y < 16777217", 0},
+                             {"y >= 16777217", kOddRows}});
+}
+
+/// A NaN row passes only `<>`, wherever it sits in its block: zone maps
+/// must not reject a block for the NaN rows' sake, nor keep its NaN rows
+/// out of a `<>`.
+TEST_F(PushdownIdentityTest, NaNPredicatesMatchUnpushedSerial) {
+  // Chunk validation (INDBML_VALIDATE=1) fails any operator but a ModelJoin
+  // that emits a NaN, so every query reading x would fail; these cases run
+  // with it off.
+  struct ValidationOff {
+    ValidationOff() { validation::SetEnabledForTesting(0); }
+    ~ValidationOff() { validation::SetEnabledForTesting(-1); }
+  } validation_off;
+  constexpr int64_t kOddRows = 2 * kRowsPerBlock;
+  ExpectCasesMatch("id, x", {{"x > 1.0", kOddRows - 2},
+                             {"x <> 5.0", 2},
+                             {"x = 5.0", kOddRows - 2},
+                             {"id <= 16777216.0 AND x <> 5.0", 1}});
 }
 
 TEST(SharedExecutorTest, PriorityClampAndDone) {

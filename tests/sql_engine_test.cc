@@ -3,6 +3,7 @@
 #include <set>
 
 #include "benchlib/workloads.h"
+#include "common/metrics.h"
 #include "mltosql/mltosql.h"
 #include "modeljoin/register.h"
 #include "nn/model.h"
@@ -279,6 +280,72 @@ TEST_F(SqlEngineTest, ProfilingOffByDefaultStillExecutes) {
   // (nothing observable to assert beyond correct execution).
   auto r = Run("SELECT COUNT(*) AS n FROM points");
   EXPECT_EQ(Cell(r, 0, 0), 5);
+}
+
+/// 2^53 and 2^53 + 1 are the same double. Pushed predicates, zone maps and
+/// morsel pruning must compare an Int64 constant with an Int64 column in
+/// int64, on the fused scan, on the discrete scan that EXPLAIN ANALYZE
+/// profiles, serially and morsel-driven.
+TEST(Int64PredicateTest, ComparesExactlyAboveTwoToThe53) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  auto big = MakeTable("big",
+                       {{"id", storage::DataType::kInt64},
+                        {"x", storage::DataType::kFloat}},
+                       {{I(kTwo53), F(1.0f)}, {I(kTwo53 + 1), F(2.0f)}});
+  big->SetUniqueIdColumn("id");
+  big->SetSortedBy({"id"});
+  const char* const queries[] = {
+      "SELECT id, x FROM big WHERE id > 9007199254740992",
+      "SELECT id, x FROM big WHERE id = 9007199254740993",
+  };
+  metrics::Counter* fused = metrics::Registry::Global().counter("exec.fused_scans");
+  for (int workers : {1, 4}) {
+    QueryEngine::Options options;
+    options.worker_threads = workers;
+    QueryEngine engine(options);
+    ASSERT_OK(engine.catalog()->CreateTable(big));
+    for (const char* sql : queries) {
+      SCOPED_TRACE(std::string(sql) + " workers=" + std::to_string(workers));
+      const int64_t fused_before = fused->value();
+      ASSERT_OK_AND_ASSIGN(auto result, engine.ExecuteQuery(sql));
+      EXPECT_GT(fused->value(), fused_before);
+      ASSERT_EQ(result.num_rows, 1);
+      EXPECT_EQ(result.GetValue(0, 0).i, kTwo53 + 1);
+      EXPECT_EQ(result.GetValue(0, 1).f, 2.0f);
+
+      const int64_t unfused_before = fused->value();
+      exec::QueryProfile profile;
+      ASSERT_OK_AND_ASSIGN(auto profiled, engine.ExecuteQuery(sql, &profile));
+      EXPECT_EQ(fused->value(), unfused_before);
+      ASSERT_EQ(profiled.num_rows, 1);
+      EXPECT_EQ(profiled.GetValue(0, 0).i, kTwo53 + 1);
+      ASSERT_OK_AND_ASSIGN(std::string text, engine.ExplainAnalyze(sql));
+      EXPECT_NE(text.find("rows=1"), std::string::npos) << text;
+    }
+  }
+}
+
+/// A table registered before Finalize has no zone maps. A filtered query
+/// over it fails with the scan's error at any worker count; morsel
+/// generation must not read the missing block statistics first.
+TEST(NonFinalizedTableTest, FilteredQueryReportsScanError) {
+  auto raw = std::make_shared<storage::Table>(
+      "raw", std::vector<storage::Field>{{"id", storage::DataType::kInt64}});
+  for (int64_t r = 0; r < 3 * kRowsPerBlock; ++r) {
+    ASSERT_OK(raw->AppendRow({I(r)}));
+  }
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    QueryEngine::Options options;
+    options.worker_threads = workers;
+    QueryEngine engine(options);
+    ASSERT_OK(engine.catalog()->CreateTable(raw));
+    auto result = engine.ExecuteQuery("SELECT id FROM raw WHERE id > 5000");
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+    EXPECT_NE(result.status().message().find("non-finalized"), std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 }  // namespace
