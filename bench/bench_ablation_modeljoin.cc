@@ -82,10 +82,10 @@ int Run() {
   for (device::Device* dev : {cpu.get(), gpu.get()}) {
     for (int64_t vs : {64, 256, 1024, 4096}) {
       auto shared = std::make_shared<inference::SharedModel>(
-          nn::MetaOf(model, "m"), dev, /*num_partitions=*/1, static_cast<int>(vs));
+          nn::MetaOf(model, "m"), dev, static_cast<int>(vs));
       modeljoin::ModelJoinOperator op(
           std::make_unique<FixedChunkSource>(fact, vs), shared, model_table,
-          {1, 2, 3, 4}, {"prediction"}, /*partition=*/0);
+          {1, 2, 3, 4}, {"prediction"});
       exec::ExecContext ctx;
       dev->ResetStats();
       Stopwatch watch;

@@ -78,7 +78,7 @@ Result<std::vector<double>> MorselCosts(sql::QueryEngine* engine,
   std::vector<double> costs(morsels.size(), 1e100);
   *rows_out = 0;
   for (int rep = 0; rep < reps; ++rep) {
-    INDBML_ASSIGN_OR_RETURN(auto root, planner.Instantiate(0));
+    INDBML_ASSIGN_OR_RETURN(auto root, planner.Instantiate());
     exec::ExecContext ctx;
     ctx.catalog = engine->catalog();
     INDBML_RETURN_NOT_OK(root->Open(&ctx));

@@ -6,6 +6,7 @@
 #include "common/memory_tracker.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "exec/executor.h"
 #include "exec/morsel.h"
 #include "exec/scan.h"
 #include "integration/capi_operator.h"
@@ -102,9 +103,9 @@ Result<double> PredictionChecksum(const exec::QueryResult& result) {
   return sum;
 }
 
-/// Builds and runs a morsel-driven scan + wrapper-operator plan (the C-API
-/// and UDF approaches, which are engine operators but not SQL-reachable) on
-/// the engine's workers.
+/// Builds a morsel-driven scan + wrapper-operator plan (the C-API and UDF
+/// approaches, which are engine operators but not SQL-reachable) and runs
+/// it as one job on the engine's executor.
 Result<exec::QueryResult> RunOperatorPlan(
     const ApproachContext& context,
     const std::function<Result<exec::OperatorPtr>(exec::OperatorPtr child)>&
@@ -118,17 +119,19 @@ Result<exec::QueryResult> RunOperatorPlan(
     INDBML_ASSIGN_OR_RETURN(int col, fact->ColumnIndex(name));
     scan_columns.push_back(col);
   }
-  exec::MorselSource source(
-      exec::MakeMorsels(*fact, context.engine->options().morsel_rows));
-  exec::WorkerPlanFactory factory = [&](int) -> Result<exec::OperatorPtr> {
+  const int workers = context.engine->EffectiveWorkers();
+  exec::JobSpec spec;
+  spec.morsels = exec::MakeMorsels(*fact, context.engine->options().morsel_rows);
+  spec.num_instances = workers;
+  // The job finishes before this call returns, so the factory may capture
+  // the caller's locals by reference.
+  spec.factory = [&](int) -> Result<exec::OperatorPtr> {
     return wrap(std::make_unique<exec::TableScanOperator>(
         exec::TableScanOperator::MorselBound{}, fact, scan_columns,
         std::vector<exec::ScanPredicate>{}));
   };
-  const int workers = context.engine->EffectiveWorkers();
-  std::shared_ptr<ThreadPool> pool = context.engine->SharedPool(workers);
-  return exec::ExecutePipeline(factory, &source, workers,
-                               context.engine->catalog(), pool.get());
+  spec.catalog = context.engine->catalog();
+  return context.engine->RunJob(std::move(spec), workers);
 }
 
 Result<exec::QueryResult> Execute(Approach approach, const ApproachContext& context,

@@ -15,8 +15,8 @@ inline constexpr int kDefaultVectorSize = 1024;
 /// for block pruning (paper §4.4, Small Materialized Aggregates).
 inline constexpr int64_t kRowsPerBlock = 4096;
 
-/// Rows per scheduling morsel of the work-stealing pipeline executor
-/// (exec/morsel.h). A multiple of kRowsPerBlock so morsel boundaries stay
+/// Rows per scheduling morsel of the work-stealing morsel executor
+/// (exec/executor.h). A multiple of kRowsPerBlock so morsel boundaries stay
 /// aligned with zone-map blocks; overridable per engine via
 /// QueryEngine::Options::morsel_rows.
 inline constexpr int64_t kDefaultMorselRows = 16 * 1024;

@@ -17,10 +17,10 @@ int HardwareConcurrency();
 
 /// Fixed-size worker pool.
 ///
-/// The query engine creates one pool per query with `parallelism` workers
-/// (paper setup: 12) and submits one task per table partition. `WaitIdle()`
-/// blocks until every submitted task has finished, which doubles as the
-/// pipeline barrier between the ModelJoin build and probe phases.
+/// Every engine thread comes from one: the morsel executor
+/// (exec/executor.h) runs its long-lived worker loops on a pool, and tests
+/// and benches use ParallelFor/WaitIdle to drive concurrent clients.
+/// `WaitIdle()` blocks until every submitted task has finished.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -53,33 +53,6 @@ class ThreadPool {
   std::vector<std::thread> workers_;  ///< set in ctor, joined in dtor only
   int active_ INDBML_GUARDED_BY(mu_) = 0;
   bool shutdown_ INDBML_GUARDED_BY(mu_) = false;
-};
-
-/// Reusable rendezvous point: every participating thread calls Wait() and
-/// blocks until all `count` threads arrived. Used by the parallel ModelJoin
-/// build phase (paper §5.2: "a barrier before leaving the build phase").
-class Barrier {
- public:
-  explicit Barrier(int count) : threshold_(count), count_(count) {}
-
-  void Wait() INDBML_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    int gen = generation_;
-    if (--count_ == 0) {
-      ++generation_;
-      count_ = threshold_;
-      cv_.NotifyAll();
-      return;
-    }
-    while (gen == generation_) cv_.Wait(mu_);
-  }
-
- private:
-  Mutex mu_;
-  CondVar cv_;
-  const int threshold_;
-  int count_ INDBML_GUARDED_BY(mu_);
-  int generation_ INDBML_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace indbml

@@ -1,12 +1,9 @@
 #include "exec/morsel.h"
 
 #include <algorithm>
-#include <string>
 
 #include "common/config.h"
-#include "common/logging.h"
 #include "common/metrics.h"
-#include "common/trace.h"
 
 namespace indbml::exec {
 
@@ -63,76 +60,6 @@ std::vector<storage::PartitionRange> MakeMorsels(
     counter->Increment(num_pruned);
   }
   return morsels;
-}
-
-Status RunMorsel(Operator* root, ExecContext* ctx, const Morsel& morsel,
-                 ResultCollector* collector) {
-  ctx->morsel_begin = morsel.begin;
-  ctx->morsel_end = morsel.end;
-  ctx->morsel_index = morsel.index;
-  INDBML_RETURN_NOT_OK(root->Rewind(ctx));
-  QueryResult batch;
-  batch.types = root->output_types();
-  INDBML_RETURN_NOT_OK(DrainAppend(root, ctx, &batch));
-  collector->Add(morsel.index, std::move(batch.chunks), batch.num_rows);
-  return Status::OK();
-}
-
-Result<QueryResult> ExecutePipeline(const WorkerPlanFactory& factory,
-                                    MorselSource* source, int num_workers,
-                                    storage::Catalog* catalog, ThreadPool* pool) {
-  if (num_workers <= 0) num_workers = 1;
-  ResultCollector collector(source->num_morsels());
-  FirstError first_error;
-
-  auto record_error = [&](const Status& s) {
-    source->Abort();
-    first_error.Record(s);
-  };
-
-  auto run_worker = [&](int w) {
-    trace::Span span("worker " + std::to_string(w));
-    ExecContext ctx;
-    ctx.catalog = catalog;
-    ctx.worker_id = w;
-    Result<OperatorPtr> op = factory(w);
-    if (!op.ok()) {
-      record_error(op.status());
-      return;
-    }
-    Operator* root = op.ValueOrDie().get();
-    // Open unconditionally — even when the source is already dry or aborted
-    // — so every worker participates in Open-time barriers (ModelJoin
-    // build, paper §5.2).
-    Status status = root->Open(&ctx);
-    if (status.ok()) {
-      collector.SetSchema(root->output_names(), root->output_types());
-      Morsel m;
-      while (source->Next(&m)) {
-        status = RunMorsel(root, &ctx, m, &collector);
-        if (!status.ok()) {
-          record_error(status);
-          break;
-        }
-      }
-    } else {
-      record_error(status);
-    }
-    root->Close(&ctx);
-  };
-
-  if (pool != nullptr && num_workers > 1) {
-    INDBML_CHECK(num_workers <= pool->num_threads())
-        << "pipeline workers exceed pool capacity (Open barriers would "
-           "deadlock)";
-    pool->ParallelFor(num_workers, run_worker);
-  } else {
-    for (int w = 0; w < num_workers; ++w) run_worker(w);
-  }
-
-  Status first = first_error.Get();
-  if (!first.ok()) return first;
-  return collector.Assemble();
 }
 
 }  // namespace indbml::exec

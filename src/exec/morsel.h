@@ -2,12 +2,10 @@
 #define INDBML_EXEC_MORSEL_H_
 
 #include <atomic>
-#include <functional>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "exec/operator.h"
 #include "exec/scan.h"
 #include "storage/table.h"
@@ -44,9 +42,8 @@ std::vector<storage::PartitionRange> MakeMorsels(
 
 /// \brief Shared work queue of morsels with an atomic claim cursor.
 ///
-/// All pipeline workers pull from the same source until it runs dry — the
-/// morsel-driven scheduling of Leis et al., replacing the static
-/// partition-per-thread assignment. Each morsel is handed out exactly once.
+/// All instances of a query pull from the same source until it runs dry —
+/// the morsel-driven scheduling of Leis et al. (exec/executor.h). Each morsel is handed out exactly once.
 /// Not movable/copyable (atomics); build the morsel vector with MakeMorsels
 /// and pass it in.
 class MorselSource {
@@ -89,7 +86,8 @@ class MorselSource {
 ///
 /// One slot per morsel, written by exactly the worker that claimed that
 /// morsel (slots are disjoint, so no per-slot locking; the executor's
-/// join/WaitIdle provides the happens-before edge to Assemble). The result
+/// dispatch bookkeeping under its mutex provides the happens-before edge to
+/// Assemble). The result
 /// schema is recorded once, first worker wins.
 class ResultCollector {
  public:
@@ -137,7 +135,8 @@ class ResultCollector {
 
   /// Deliberately *not* guarded: slot `i` is written only by the single
   /// worker that claimed morsel `i` (slots are disjoint), and Assemble runs
-  /// after the executor's WaitIdle, which provides the happens-before edge.
+  /// after every dispatch of the query retired under the executor's mutex,
+  /// which provides the happens-before edge.
   std::vector<Batch> batches_;
   Mutex mu_;
   bool have_schema_ INDBML_GUARDED_BY(mu_) = false;
@@ -148,8 +147,8 @@ class ResultCollector {
 /// \brief First-error-wins sink shared by concurrent pipeline workers.
 ///
 /// Local `std::mutex` + `Status` pairs cannot carry thread-safety
-/// annotations (only members can be GUARDED_BY), so the executors share
-/// this small annotated class instead.
+/// annotations (only members can be GUARDED_BY), so the executor uses this
+/// small annotated class instead.
 class FirstError {
  public:
   /// Records `s` if it is the first non-OK status seen.
@@ -170,35 +169,6 @@ class FirstError {
   mutable Mutex mu_;
   Status first_ INDBML_GUARDED_BY(mu_);
 };
-
-/// Runs one claimed morsel on an *open* operator tree: publishes the row
-/// range via `ctx`, Rewinds the plan, drains it, and records the tagged
-/// batch in the collector. Shared by the per-query pipeline executor below
-/// and the multi-query shared executor (server/executor.h), so both
-/// schedule the identical unit of work.
-Status RunMorsel(Operator* root, ExecContext* ctx, const Morsel& morsel,
-                 ResultCollector* collector);
-
-/// Creates the private operator-tree instance for one pipeline worker.
-/// Shared state (the ModelJoin's shared model, the morsel source binding)
-/// is captured inside the factory.
-using WorkerPlanFactory = std::function<Result<OperatorPtr>(int worker)>;
-
-/// \brief Runs `num_workers` private plans over a shared MorselSource.
-///
-/// Each worker Opens its plan once (Open participates in cross-worker
-/// barriers such as the ModelJoin build, so it runs even when the source is
-/// already dry), then loops: claim a morsel, publish its range via the
-/// ExecContext, Rewind the plan, drain it, hand the tagged chunks to the
-/// ResultCollector. On error the worker aborts the source so the others
-/// stop pulling. Plans always get Closed.
-///
-/// Runs on `pool` when provided and num_workers > 1, serially otherwise.
-/// `num_workers` must not exceed `pool->num_threads()` — Open-time barriers
-/// require all workers to run concurrently.
-Result<QueryResult> ExecutePipeline(const WorkerPlanFactory& factory,
-                                    MorselSource* source, int num_workers,
-                                    storage::Catalog* catalog, ThreadPool* pool);
 
 }  // namespace indbml::exec
 

@@ -18,9 +18,9 @@ struct OperatorStats;
 /// Per-execution state passed down the operator tree.
 struct ExecContext {
   storage::Catalog* catalog = nullptr;
-  /// Worker running this operator-tree instance: its slot in
-  /// [0, num_workers) of the morsel-driven pipeline executor, 0 for a serial
-  /// drain (paper §4.4: each execution thread gets a private query plan).
+  /// This operator-tree instance's slot in [0, num_instances) of its
+  /// morsel-executor job (exec/executor.h), 0 for a whole-plan drain
+  /// (paper §4.4: each execution thread gets a private query plan).
   int worker_id = 0;
   /// Row range of the morsel the executor is about to run (set before every
   /// Rewind call); morsel_index is the morsel's position in global row
@@ -64,7 +64,7 @@ class Operator {
   /// streaming state is reset so Next() produces the rows of the morsel
   /// range in `ctx`, while expensive once-per-query state (a ModelJoin's
   /// built model, a hash join's build table over a non-morsel side) is
-  /// kept. Called by the pipeline executor between Open and Close, before
+  /// kept. Called by the morsel executor between Open and Close, before
   /// every morsel including the first. The default refuses, so an operator
   /// that never audited its state cannot silently return stale rows.
   virtual Status Rewind(ExecContext* ctx);
@@ -101,7 +101,7 @@ struct QueryResult {
 Result<QueryResult> DrainOperator(Operator* root, ExecContext* ctx);
 
 /// Drains an *already open* operator into `result` (appends chunks; does
-/// not Open or Close). Used by the pipeline executor per morsel and by
+/// not Open or Close). Used by the morsel executor per morsel and by
 /// operators that lazily materialise a child they keep open across
 /// Rewinds (sort, hash-join build, cross-join right side).
 Status DrainAppend(Operator* root, ExecContext* ctx, QueryResult* result);

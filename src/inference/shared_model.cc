@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/config.h"
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "common/validation.h"
 #include "inference/validate.h"
@@ -58,14 +57,11 @@ int64_t NextModelId() {
 }  // namespace
 
 SharedModel::SharedModel(nn::ModelMeta meta, device::Device* device,
-                         int num_workers, int vector_size)
+                         int vector_size)
     : meta_(std::move(meta)),
       device_(device),
-      num_workers_(num_workers),
       vector_size_(vector_size),
-      model_id_(NextModelId()),
-      build_barrier_(num_workers),
-      upload_barrier_(num_workers) {
+      model_id_(NextModelId()) {
   // Unique-node-id layout: input nodes first for dense-input models.
   const bool dense_input =
       meta_.layers.empty() || meta_.layers[0].kind == LayerKind::kDense;
@@ -234,62 +230,64 @@ void SharedModel::UploadToDevice() {
   }
 }
 
-Status SharedModel::BuildPartition(const storage::Table& model_table, int worker) {
-  // Work-stealing build: every worker claims fixed-size row ranges from the
+Status SharedModel::Build(const storage::Table& model_table) {
+  // Work-stealing build: every caller claims fixed-size row ranges from the
   // shared cursor until the table is exhausted. ParsePartition writes are
-  // disjoint per model-table row, so claimed ranges never conflict.
+  // disjoint per model-table row, so claimed ranges never conflict. An
+  // empty table still has one (empty) range, whose claimer finishes the
+  // build.
   const int64_t n = model_table.num_rows();
   const int64_t step = kRowsPerBlock;
-  for (;;) {
-    if (failed_.load()) break;
-    int64_t begin = build_cursor_.fetch_add(step);
-    if (begin >= n) break;
-    storage::PartitionRange range{begin, std::min(begin + step, n)};
-    Status status = ParsePartition(model_table, range);
-    if (!status.ok()) {
-      RecordFailure(status);
-      break;
+  const int64_t num_ranges = std::max<int64_t>(1, (n + step - 1) / step);
+  bool failed = false;  // as of this caller's last look
+  for (int64_t i = build_cursor_.fetch_add(1); i < num_ranges;
+       i = build_cursor_.fetch_add(1)) {
+    // After a failure the remaining ranges are only counted, not parsed.
+    Status status = failed ? Status::OK()
+                           : ParsePartition(model_table,
+                                            {i * step, std::min(n, (i + 1) * step)});
+    bool last;
+    {
+      MutexLock lock(build_mu_);
+      if (!status.ok() && first_error_.ok()) first_error_ = status;
+      failed = !first_error_.ok();
+      last = ++ranges_done_ == num_ranges;
     }
+    if (last) FinishBuild();
   }
-  // All participants must reach the barrier even on failure, or the others
-  // would deadlock (paper §5.2: single synchronisation point).
-  build_barrier_.Wait();
-  if (failed_.load()) return FailureStatus();
-  // One thread moves the finished model to the device (§5.2 optimisation:
-  // build on host memory, upload once at the end).
-  if (worker == 0) {
-    UploadToDevice();
-    if (validation::Enabled()) {
-      Status shape = ValidateSharedModelShape(*this);
-      if (!shape.ok()) RecordFailure(shape);
-    }
-  }
-  upload_barrier_.Wait();
-  if (failed_.load()) return FailureStatus();
-  // Idempotent across the workers leaving the barrier: all of them observed
-  // the completed upload, so any of them may publish the model as built.
-  built_.store(true, std::memory_order_release);
-  return Status::OK();
+  // Every range is claimed by a caller that already arrived, so this waits
+  // only for work in progress, never for a thread that has not come yet.
+  MutexLock lock(build_mu_);
+  while (!build_done_) build_cv_.Wait(build_mu_);
+  return build_status_;
 }
 
-Status SharedModel::BuildSerial(const storage::Table& model_table) {
-  INDBML_CHECK(num_workers_ == 1)
-      << "BuildSerial is the registry's single-builder path; barrier-built "
-         "models must use BuildPartition";
-  INDBML_RETURN_NOT_OK(
-      ParsePartition(model_table, {0, model_table.num_rows()}));
-  UploadToDevice();
-  if (validation::Enabled()) {
-    INDBML_RETURN_NOT_OK(ValidateSharedModelShape(*this));
+void SharedModel::FinishBuild() {
+  Status status;
+  {
+    // Every parser counted its range under build_mu_ after writing it, so
+    // this thread now sees the whole model.
+    MutexLock lock(build_mu_);
+    status = first_error_;
   }
-  built_.store(true, std::memory_order_release);
-  return Status::OK();
+  if (status.ok()) {
+    // One thread moves the finished model to the device (§5.2 optimisation:
+    // build on host memory, upload once at the end).
+    UploadToDevice();
+    if (validation::Enabled()) status = ValidateSharedModelShape(*this);
+  }
+  MutexLock lock(build_mu_);
+  if (status.ok()) {
+    built_.store(true, std::memory_order_release);
+  } else {
+    build_status_ =
+        Status::ExecutionError("ModelJoin build failed: " + status.ToString());
+  }
+  build_done_ = true;
+  build_cv_.NotifyAll();
 }
 
 Status SharedModel::BuildFromModel(const nn::Model& model) {
-  INDBML_CHECK(num_workers_ == 1)
-      << "BuildFromModel is a single-builder path; barrier-built models must "
-         "use BuildPartition";
   if (model.layers().size() != meta_.layers.size()) {
     return Status::InvalidArgument(
         "model layer count does not match the meta this SharedModel was "
@@ -340,21 +338,6 @@ Status SharedModel::BuildFromModel(const nn::Model& model) {
   }
   built_.store(true, std::memory_order_release);
   return Status::OK();
-}
-
-void SharedModel::RecordFailure(const Status& status) {
-  {
-    MutexLock lock(failure_mu_);
-    // First failure wins: a second worker failing concurrently must not
-    // overwrite the root-cause message the first one recorded.
-    if (failure_message_.empty()) failure_message_ = status.ToString();
-  }
-  failed_.store(true);
-}
-
-Status SharedModel::FailureStatus() const {
-  MutexLock lock(failure_mu_);
-  return Status::ExecutionError("ModelJoin build failed: " + failure_message_);
 }
 
 Status ValidateSharedModelShape(const SharedModel& model) {

@@ -9,7 +9,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "device/device.h"
 #include "nn/model.h"
 #include "nn/model_meta.h"
@@ -21,52 +20,48 @@ namespace indbml::inference {
 /// by the inference layer so every approach runs the same forward pass.
 ///
 /// One instance exists per query (or one per (model, device) pair under the
-/// serving registry); all execution workers fill disjoint parts of the
-/// shared weight matrices from the model table and synchronise on a barrier
-/// before inference starts. Build work is claimed morsel-wise from a shared
-/// atomic cursor (mirroring exec/morsel.h), so a worker that finishes its
-/// rows early steals more instead of idling at the barrier.
+/// serving registry). Its build is barrier-free: every thread that calls
+/// Build claims row ranges of the model table from a shared atomic cursor
+/// and parses them into disjoint parts of the shared weight matrices, so a
+/// thread that finishes its rows early steals more instead of idling. The
+/// thread that finishes the last range uploads the model; every caller
+/// then returns with the finished weights. No caller waits for a thread
+/// that has not called Build yet, so lazily opened executor instances
+/// (exec/executor.h) can join the build in any number and at any time.
 /// Weights are stored *transposed* ([units x input] row-major) and biases
 /// replicated into [units x vectorsize] matrices (§5.4) so the per-chunk
 /// inference is plain GEMM + one large addition.
 ///
-/// On a GPU device the build writes host staging buffers; after the barrier
-/// one thread uploads the finished model to device memory (the §5.2
-/// optimisation avoiding fine-grained transfers).
+/// On a GPU device the build writes host staging buffers; once every range
+/// is parsed, one thread uploads the finished model to device memory (the
+/// §5.2 optimisation avoiding fine-grained transfers).
 class SharedModel {
  public:
-  /// `num_workers` build participants will call BuildPartition.
-  SharedModel(nn::ModelMeta meta, device::Device* device, int num_workers,
-              int vector_size);
+  SharedModel(nn::ModelMeta meta, device::Device* device, int vector_size);
   ~SharedModel();
 
   SharedModel(const SharedModel&) = delete;
   SharedModel& operator=(const SharedModel&) = delete;
 
-  /// Participates in the parallel build: claims row ranges of `model_table`
-  /// (unique-node-id relational representation, 14 columns) from the shared
-  /// build cursor and parses them into the shared weights, then waits on
-  /// the build barrier. Every worker must call this exactly once; the call
-  /// returns only after the whole model is built (and uploaded to the
-  /// device). `worker` identifies the caller; worker 0 performs the upload.
-  Status BuildPartition(const storage::Table& model_table, int worker);
-
-  /// Builds the whole model on the calling thread — the registry path
-  /// (modeljoin/model_registry.h): the first query to need a (model,
-  /// device) pair builds it once, every later query block-shares the
-  /// finished weights. No barrier is involved, so the instance must have
-  /// been constructed with `num_workers` == 1. Marks the model built; after
-  /// an OK return, ModelJoinOperator::Open skips its build phase entirely.
-  Status BuildSerial(const storage::Table& model_table);
+  /// Joins the build from `model_table` (unique-node-id relational
+  /// representation, 14 columns): claims row ranges from the shared build
+  /// cursor until it is dry, then waits until every claimed range has been
+  /// parsed and the model uploaded and validated. Returns OK, or the
+  /// build's first error as kExecutionError. Any number of threads may call
+  /// it, concurrently or one after another, all with the same table; a call
+  /// after the build finished returns at once. After an OK return the
+  /// model is built() and ModelJoinOperator::Open skips its build phase.
+  Status Build(const storage::Table& model_table) INDBML_EXCLUDES(build_mu_);
 
   /// Builds directly from in-memory nn::Model weights (the mlruntime path:
-  /// no relational model table involved). Transposes the row-major kernels
-  /// into the [units x input] layout and replicates biases, then uploads.
-  /// Requires `num_workers` == 1; marks the model built.
+  /// no relational model table involved) on the calling thread. Transposes
+  /// the row-major kernels into the [units x input] layout and replicates
+  /// biases, then uploads; marks the model built. Not combinable with
+  /// Build.
   Status BuildFromModel(const nn::Model& model);
 
   /// True once the weights (and device upload) are complete and immutable.
-  /// Release/acquire-paired with the end of BuildSerial, so an operator
+  /// Release/acquire-paired with the end of the build, so an operator
   /// observing true also observes the finished weights.
   bool built() const { return built_.load(std::memory_order_acquire); }
 
@@ -81,7 +76,7 @@ class SharedModel {
   /// different versions are never coalesced into one batch.
   int64_t model_id() const { return model_id_; }
 
-  /// Device pointers, valid after BuildPartition returned OK.
+  /// Device pointers, valid after Build returned OK.
   /// Dense layer li: kernel() is [units x input_dim] (transposed).
   const float* dense_kernel(size_t li) const { return layers_[li].w[0]; }
   const float* dense_bias_matrix(size_t li) const { return layers_[li].bias_mat[0]; }
@@ -109,7 +104,7 @@ class SharedModel {
   };
 
   /// Host staging buffers the build phase writes into (owned storage;
-  /// uploaded to the device buffers after the build barrier).
+  /// uploaded to the device buffers once every range is parsed).
   struct HostBuffers {
     std::vector<float> w[nn::kNumGates];
     std::vector<float> u[nn::kNumGates];
@@ -125,15 +120,12 @@ class SharedModel {
   Status ParsePartition(const storage::Table& model_table,
                         storage::PartitionRange range);
   void UploadToDevice();
-
-  /// Marks the build failed, keeping the first recorded message.
-  void RecordFailure(const Status& status) INDBML_EXCLUDES(failure_mu_);
-  /// The build-failed status carrying the first failure's message.
-  Status FailureStatus() const INDBML_EXCLUDES(failure_mu_);
+  /// Run by the thread that finished the last build range: uploads and
+  /// validates unless a range failed, then publishes the outcome.
+  void FinishBuild() INDBML_EXCLUDES(build_mu_);
 
   nn::ModelMeta meta_;
   device::Device* device_;
-  int num_workers_;
   int vector_size_;
   int64_t model_id_;
 
@@ -144,22 +136,23 @@ class SharedModel {
   std::vector<LayerBuffers> layers_;  ///< device buffers (== host on CPU)
   int64_t device_bytes_ = 0;
 
-  /// Next unclaimed model-table row of the work-stealing build phase.
-  /// lock-free: relaxed-equivalent fetch_add hands each row range to exactly
-  /// one worker; the parsed weights become visible to every worker through
-  /// the build barrier, not through this cursor.
+  /// Next unclaimed range index of the work-stealing build phase.
+  /// lock-free: fetch_add hands each range to exactly one caller; the parsed
+  /// weights become visible to the other callers through build_mu_, not
+  /// through this cursor.
   std::atomic<int64_t> build_cursor_{0};
-  Barrier build_barrier_;
-  Barrier upload_barrier_;
-  /// lock-free: sticky failure flag; workers poll it to stop claiming work
-  /// early. The barrier orders it before the post-build checks.
-  std::atomic<bool> failed_{false};
-  /// lock-free: set (release) once by BuildSerial after upload + validation;
-  /// read (acquire) by every operator Open deciding whether to build.
+  /// lock-free: set (release) once after upload + validation; read
+  /// (acquire) by every operator Open deciding whether to build.
   std::atomic<bool> built_{false};
-  mutable Mutex failure_mu_;
-  /// First failure wins; later failures keep the original message.
-  std::string failure_message_ INDBML_GUARDED_BY(failure_mu_);
+  Mutex build_mu_;
+  CondVar build_cv_;
+  /// Build ranges parsed (or skipped after a failure) so far.
+  int64_t ranges_done_ INDBML_GUARDED_BY(build_mu_) = 0;
+  /// First failure while parsing or validating; later ones are dropped.
+  Status first_error_ INDBML_GUARDED_BY(build_mu_);
+  /// The outcome every Build call returns once build_done_ is set.
+  bool build_done_ INDBML_GUARDED_BY(build_mu_) = false;
+  Status build_status_ INDBML_GUARDED_BY(build_mu_);
 };
 
 }  // namespace indbml::inference

@@ -46,7 +46,7 @@ Result<std::unique_ptr<Session>> Session::Create(const nn::Model& model,
   impl.device = device != nullptr ? device : DefaultRuntimeDevice(device_name);
   impl.meta = nn::MetaOf(model, "session");
   impl.model = std::make_shared<inference::SharedModel>(
-      impl.meta, impl.device, /*num_workers=*/1, kDefaultVectorSize);
+      impl.meta, impl.device, kDefaultVectorSize);
   INDBML_RETURN_NOT_OK(impl.model->BuildFromModel(model));
   return session;
 }

@@ -93,9 +93,8 @@ Result<std::shared_ptr<inference::SharedModel>> SharedModelRegistry::GetOrBuild(
 
   // Build outside the lock: concurrent queries over *other* models proceed;
   // queries over this model wait on the condvar above.
-  auto model = std::make_shared<inference::SharedModel>(
-      meta, device, /*num_workers=*/1, vector_size);
-  Status status = model->BuildSerial(*model_table);
+  auto model = std::make_shared<inference::SharedModel>(meta, device, vector_size);
+  Status status = model->Build(*model_table);
   RegistryCounter("builds")->Increment();
 
   MutexLock lock(mu_);

@@ -21,9 +21,9 @@ namespace indbml::modeljoin {
 /// build cost, which compounds linearly under concurrent load. The registry
 /// lifts the model out of per-query state (MorphingDB's model-management
 /// idea): the first query over a (model, device) pair builds it once via
-/// SharedModel::BuildSerial, every concurrent and later query block-shares
-/// the finished weights, and ModelJoinOperator::Open on a registry model is
-/// barrier-free (required by the shared executor's lazy instantiation).
+/// SharedModel::Build on the calling thread, every concurrent and later
+/// query block-shares the finished weights, and ModelJoinOperator::Open on
+/// a registry model skips the build phase.
 ///
 /// Concurrency: lookups are single-flight. The first caller inserts a
 /// pending entry and builds outside the lock; callers that race it wait on

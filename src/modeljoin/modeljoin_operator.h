@@ -14,8 +14,8 @@ namespace indbml::modeljoin {
 
 /// \brief The native ModelJoin query operator (paper §5).
 ///
-/// Volcano-style two-phase join: Open() runs this worker's share of the
-/// parallel model build (blocking until the shared model is complete);
+/// Volcano-style two-phase join: Open() joins the barrier-free parallel
+/// model build (returning once the shared model is complete);
 /// Next() pulls a chunk from the input flow, gathers the input columns into
 /// a feature-major staging matrix (one contiguous copy per column, §5.3),
 /// hands it to the shared inference path — InferenceBatcher (cache +
@@ -29,7 +29,7 @@ class ModelJoinOperator final : public exec::Operator {
                     std::shared_ptr<inference::SharedModel> model,
                     storage::TablePtr model_table,
                     std::vector<int> input_column_indexes,
-                    std::vector<std::string> prediction_names, int worker,
+                    std::vector<std::string> prediction_names,
                     inference::InferenceOptions inference = {});
   ~ModelJoinOperator() override;
 
@@ -51,7 +51,6 @@ class ModelJoinOperator final : public exec::Operator {
   std::vector<int> input_columns_;
   std::vector<exec::DataType> types_;
   std::vector<std::string> names_;
-  int worker_;
   inference::InferenceOptions inference_;
   exec::DataChunk in_;  ///< reused input buffer (no per-batch reallocation)
 

@@ -26,7 +26,7 @@ void RegisterNativeModelJoin(sql::QueryEngine* engine, DeviceProvider provider) 
     if (args.shared) {
       // Serving path: resolve through the process-wide registry so
       // concurrent queries over the same (model, device) build once and the
-      // operator's Open is barrier-free.
+      // operator's Open finds the model built.
       INDBML_ASSIGN_OR_RETURN(
           auto model, SharedModelRegistry::Global().GetOrBuild(
                           args.meta, device, args.device, args.model_table,
@@ -34,7 +34,7 @@ void RegisterNativeModelJoin(sql::QueryEngine* engine, DeviceProvider provider) 
       return std::shared_ptr<void>(std::move(model));
     }
     return std::shared_ptr<void>(std::make_shared<inference::SharedModel>(
-        args.meta, device, args.num_workers, kDefaultVectorSize));
+        args.meta, device, kDefaultVectorSize));
   };
 
   sql::ModelJoinOperatorFactory operator_factory =
@@ -49,7 +49,7 @@ void RegisterNativeModelJoin(sql::QueryEngine* engine, DeviceProvider provider) 
     return exec::OperatorPtr(std::make_unique<ModelJoinOperator>(
         std::move(args.child), std::move(model), std::move(args.model_table),
         std::move(args.input_column_indexes), std::move(args.prediction_names),
-        args.worker, inference));
+        inference));
   };
 
   engine->SetModelJoinFactories(std::move(state_factory),

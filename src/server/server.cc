@@ -6,8 +6,8 @@ namespace indbml::server {
 
 namespace {
 
-SharedExecutor::Options ExecutorOptions(const QueryServer::Options& options) {
-  SharedExecutor::Options out;
+exec::SharedExecutor::Options ExecutorOptions(const QueryServer::Options& options) {
+  exec::SharedExecutor::Options out;
   out.worker_threads = options.worker_threads;
   out.max_inflight = options.max_inflight_queries;
   out.max_queued = options.max_queued_queries;

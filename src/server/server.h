@@ -3,7 +3,7 @@
 
 #include <memory>
 
-#include "server/executor.h"
+#include "exec/executor.h"
 #include "server/plan_cache.h"
 #include "server/session.h"
 #include "sql/query_engine.h"
@@ -15,16 +15,17 @@ namespace indbml::server {
 ///
 /// Layering:
 ///   Session (per client: options snapshot, submit, cancel)
-///     → SharedExecutor (process-wide morsel scheduler: stride-fair
-///       interleaving, admission control)
 ///     → shared plan/model layer (PlanCache keyed on catalog version;
 ///       modeljoin::SharedModelRegistry building each (model, device) once)
-///     → QueryEngine (catalog, binder, optimizer, physical planner).
+///     → QueryEngine::PrepareJob (binder, optimizer, physical planner)
+///     → exec::SharedExecutor (the engine's morsel executor, one instance
+///       per server: stride-fair interleaving plus admission control).
 ///
 /// The embedded engine stays fully usable directly — existing callers
-/// (RegisterNativeModelJoin, benchlib) take server.engine() — but queries
-/// through sessions share one worker pool instead of each dragging their
-/// own, which is what turns N back-to-back queries into concurrent ones.
+/// (RegisterNativeModelJoin, benchlib) take server.engine() — and runs its
+/// own queries on its own executor without admission limits. Queries
+/// through sessions share the server's executor, which is what turns N
+/// back-to-back queries into concurrent ones.
 class QueryServer {
  public:
   struct Options {
@@ -71,7 +72,7 @@ class QueryServer {
 
   sql::QueryEngine* engine() { return &engine_; }
   storage::Catalog* catalog() { return engine_.catalog(); }
-  SharedExecutor* executor() { return &executor_; }
+  exec::SharedExecutor* executor() { return &executor_; }
   /// Null when the plan cache is disabled.
   PlanCache* plan_cache() { return plan_cache_.get(); }
   const Options& options() const { return options_; }
@@ -80,7 +81,7 @@ class QueryServer {
   Options options_;
   sql::QueryEngine engine_;
   std::unique_ptr<PlanCache> plan_cache_;
-  SharedExecutor executor_;
+  exec::SharedExecutor executor_;
 };
 
 }  // namespace indbml::server

@@ -4,25 +4,10 @@
 
 #include "common/metrics.h"
 #include "common/stopwatch.h"
+#include "inference/batcher.h"
 #include "server/server.h"
 
 namespace indbml::server {
-
-namespace {
-
-/// True if any node of the plan is a ModelJoin. Without shared models such
-/// plans must run single-instance: the per-query build barrier requires all
-/// worker instances inside Open concurrently, which the shared executor's
-/// lazy opens cannot guarantee.
-bool PlanHasModelJoin(const sql::LogicalOp& node) {
-  if (node.kind == sql::LogicalKind::kModelJoin) return true;
-  for (const auto& child : node.children) {
-    if (child != nullptr && PlanHasModelJoin(*child)) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 Session::Session(QueryServer* server, sql::QueryEngine::Options options)
     : server_(server), options_(std::move(options)) {}
@@ -72,36 +57,29 @@ Result<std::shared_ptr<QueryHandle>> Session::Submit(const std::string& sql) {
 Result<std::shared_ptr<QueryHandle>> Session::SubmitPlan(
     std::shared_ptr<const sql::LogicalOp> plan,
     const sql::QueryEngine::Options& opts, int priority) {
-  sql::QueryEngine* engine = server_->engine();
-  const bool single_instance =
-      !opts.shared_models && PlanHasModelJoin(*plan);
-  const int max_workers =
-      single_instance ? 1 : server_->executor()->num_threads();
-
-  // Plans that don't qualify for morsel scheduling are lowered for one
-  // worker and execute as one serial drain (full scan range in instance 0).
-  INDBML_ASSIGN_OR_RETURN(
-      auto prep, engine->PreparePhysical(*plan, opts, max_workers, nullptr));
-
-  // The job may outlive this call (non-blocking submit): the factory keeps
+  exec::SharedExecutor* executor = server_->executor();
+  // The job may outlive this call (non-blocking submit): its factory keeps
   // the planner and the cached logical plan alive until the query finishes.
-  std::shared_ptr<sql::PhysicalPlanner> planner(std::move(prep.planner));
-  JobSpec spec;
-  spec.factory = [planner, plan](int worker) {
-    return planner->Instantiate(worker);
-  };
-  spec.catalog = engine->catalog();
+  INDBML_ASSIGN_OR_RETURN(
+      exec::JobSpec spec,
+      server_->engine()->PrepareJob(std::move(plan), opts,
+                                    executor->num_threads(), nullptr));
   spec.priority = priority;
-  if (planner->num_workers() > 1) {
-    // All morsels pruned: Submit runs the job as one serial drain of a
-    // morsel-bound instance, which yields the empty result with its schema.
-    spec.morsels = std::move(prep.morsels);
-    spec.num_instances = planner->num_workers();
-  } else {
-    spec.serial = true;
-    spec.num_instances = 1;
+  spec.on_cancel = [] {
+    // A worker blocked inside the inference batcher's coalescing wait is
+    // not claiming morsels; kick it so it re-checks the interrupt flag and
+    // returns promptly.
+    inference::InferenceBatcher::Global().KickWaiters();
+    metrics::Registry::Global().counter("server.cancellations")->Increment();
+  };
+  auto handle = executor->Submit(std::move(spec));
+  metrics::Registry& registry = metrics::Registry::Global();
+  if (handle.ok()) {
+    registry.counter("server.queries")->Increment();
+  } else if (handle.status().code() == StatusCode::kResourceExhausted) {
+    registry.counter("server.admission_rejects")->Increment();
   }
-  return server_->executor()->Submit(std::move(spec));
+  return handle;
 }
 
 Result<exec::QueryResult> Session::ExecuteQuery(const std::string& sql) {

@@ -6,12 +6,15 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "server/executor.h"
+#include "exec/executor.h"
 #include "sql/query_engine.h"
 
 namespace indbml::server {
 
 class QueryServer;
+
+/// Sessions hand out the executor's handle on a submitted query.
+using exec::QueryHandle;
 
 /// \brief One client connection to the QueryServer.
 ///

@@ -1,5 +1,6 @@
 #include "sql/physical_planner.h"
 
+#include <cmath>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -52,6 +53,28 @@ bool ExprHasDivOrMod(const exec::Expr& e) {
   return false;
 }
 
+/// True if `node`'s output may legitimately hold a non-finite float: a
+/// ModelJoin in its subtree computed it, or a table column it scans stores
+/// one (storage/csv.cc parses "nan" and "inf"), as the block stats record.
+bool MayCarryNonFinite(const LogicalOp& node) {
+  if (node.kind == LogicalKind::kModelJoin) return true;
+  // An unfinalized table has no block stats; its scan fails to open anyway.
+  if (node.kind == LogicalKind::kScan && node.table->finalized()) {
+    for (int c : node.scan_columns) {
+      if (node.table->column(c).type() != storage::DataType::kFloat) continue;
+      for (const storage::BlockStats& stats : node.table->block_stats(c)) {
+        if (stats.has_nan || std::isinf(stats.min.f) || std::isinf(stats.max.f)) {
+          return true;
+        }
+      }
+    }
+  }
+  for (const auto& child : node.children) {
+    if (MayCarryNonFinite(*child)) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 PhysicalPlanner::PhysicalPlanner(const LogicalOp* plan, const PlanAnalysis& analysis,
@@ -100,7 +123,6 @@ Status PhysicalPlanner::Prepare() {
         ModelJoinStateArgs state_args;
         state_args.meta = node.modeljoin.meta;
         state_args.device = node.modeljoin.device;
-        state_args.num_workers = planner->num_workers_;
         state_args.model_table = node.modeljoin.model_table;
         state_args.shared = planner->shared_models_;
         INDBML_ASSIGN_OR_RETURN(auto state,
@@ -114,18 +136,16 @@ Status PhysicalPlanner::Prepare() {
   return visitor.Visit(*plan_);
 }
 
-Result<OperatorPtr> PhysicalPlanner::Instantiate(int worker) {
-  return Build(*plan_, worker);
-}
+Result<OperatorPtr> PhysicalPlanner::Instantiate() { return Build(*plan_); }
 
-Result<OperatorPtr> PhysicalPlanner::Build(const LogicalOp& node, int worker) {
-  INDBML_ASSIGN_OR_RETURN(auto op, BuildNode(node, worker));
+Result<OperatorPtr> PhysicalPlanner::Build(const LogicalOp& node) {
+  INDBML_ASSIGN_OR_RETURN(auto op, BuildNode(node));
   if (validation::Enabled()) {
-    // Model predictions may legitimately be non-finite; every other
-    // operator emitting a NaN is propagating a corrupted intermediate.
-    bool allow_non_finite = node.kind == LogicalKind::kModelJoin;
+    // Model predictions and stored values may legitimately be non-finite;
+    // any other operator emitting a NaN is propagating a corrupted
+    // intermediate.
     op = std::make_unique<exec::ValidatingOperator>(
-        std::move(op), node.NodeString(), allow_non_finite);
+        std::move(op), node.NodeString(), MayCarryNonFinite(node));
   }
   if (profile_ != nullptr) {
     op = std::make_unique<exec::ProfiledOperator>(std::move(op), profile_,
@@ -196,13 +216,13 @@ Result<OperatorPtr> PhysicalPlanner::TryBuildFused(const LogicalOp& node) {
       std::move(projection), std::move(names)));
 }
 
-Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker) {
+Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node) {
   switch (node.kind) {
     case LogicalKind::kScan: {
       INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node));
       if (fused != nullptr) return fused;
       if (MorselBound(node.table)) {
-        // Morsel-bound: starts empty; the pipeline executor re-targets the
+        // Morsel-bound: starts empty; the morsel executor re-targets the
         // scan's row range per claimed morsel via Rewind.
         return OperatorPtr(std::make_unique<exec::TableScanOperator>(
             exec::TableScanOperator::MorselBound{}, node.table, node.scan_columns,
@@ -215,7 +235,7 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker
     case LogicalKind::kFilter: {
       INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node));
       if (fused != nullptr) return fused;
-      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], worker));
+      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0]));
       auto mapping = PositionMap(node.children[0]->outputs);
       INDBML_ASSIGN_OR_RETURN(auto cond, Remap(*node.condition, mapping));
       return OperatorPtr(
@@ -224,7 +244,7 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker
     case LogicalKind::kProject: {
       INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node));
       if (fused != nullptr) return fused;
-      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], worker));
+      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0]));
       auto mapping = PositionMap(node.children[0]->outputs);
       std::vector<ExprPtr> exprs;
       std::vector<std::string> names;
@@ -237,8 +257,8 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker
           std::move(child), std::move(exprs), std::move(names)));
     }
     case LogicalKind::kHashJoin: {
-      INDBML_ASSIGN_OR_RETURN(auto probe, Build(*node.children[0], worker));
-      INDBML_ASSIGN_OR_RETURN(auto build, Build(*node.children[1], worker));
+      INDBML_ASSIGN_OR_RETURN(auto probe, Build(*node.children[0]));
+      INDBML_ASSIGN_OR_RETURN(auto build, Build(*node.children[1]));
       auto probe_map = PositionMap(node.children[0]->outputs);
       auto build_map = PositionMap(node.children[1]->outputs);
       std::vector<ExprPtr> probe_keys;
@@ -256,13 +276,13 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker
           std::move(build_keys)));
     }
     case LogicalKind::kCrossJoin: {
-      INDBML_ASSIGN_OR_RETURN(auto left, Build(*node.children[0], worker));
-      INDBML_ASSIGN_OR_RETURN(auto right, Build(*node.children[1], worker));
+      INDBML_ASSIGN_OR_RETURN(auto left, Build(*node.children[0]));
+      INDBML_ASSIGN_OR_RETURN(auto right, Build(*node.children[1]));
       return OperatorPtr(std::make_unique<exec::CrossJoinOperator>(std::move(left),
                                                                    std::move(right)));
     }
     case LogicalKind::kAggregate: {
-      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], worker));
+      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0]));
       auto mapping = PositionMap(node.children[0]->outputs);
       std::vector<ExprPtr> groups;
       std::vector<std::string> group_names;
@@ -292,7 +312,7 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker
           std::move(aggs)));
     }
     case LogicalKind::kSort: {
-      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], worker));
+      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0]));
       auto mapping = PositionMap(node.children[0]->outputs);
       std::vector<ExprPtr> keys;
       for (const auto& k : node.sort_keys) {
@@ -303,7 +323,7 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker
           std::move(child), std::move(keys), node.ascending));
     }
     case LogicalKind::kLimit: {
-      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], worker));
+      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0]));
       return OperatorPtr(
           std::make_unique<exec::LimitOperator>(std::move(child), node.limit));
     }
@@ -312,7 +332,7 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker
         return Status::NotImplemented(
             "no native ModelJoin implementation registered with this engine");
       }
-      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], worker));
+      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0]));
       auto mapping = PositionMap(node.children[0]->outputs);
       ModelJoinPhysicalArgs args;
       for (int64_t id : node.modeljoin.input_column_ids) {
@@ -331,8 +351,6 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker
         args.prediction_names.push_back(node.outputs[i].name);
       }
       args.shared_state = modeljoin_states_.at(&node);
-      args.worker = worker;
-      args.num_workers = num_workers_;
       args.inference = inference_;
       return operator_factory_(std::move(args));
     }

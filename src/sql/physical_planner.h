@@ -41,8 +41,6 @@ struct ModelJoinPhysicalArgs {
   /// of the parallel build phase, paper §5.2). Created once per query by
   /// the registered state factory.
   std::shared_ptr<void> shared_state;
-  int worker = 0;
-  int num_workers = 1;
   /// Batching/cache knobs for this query (QueryEngine::Options::inference).
   InferenceExecOptions inference;
 };
@@ -52,17 +50,13 @@ struct ModelJoinPhysicalArgs {
 struct ModelJoinStateArgs {
   nn::ModelMeta meta;
   std::string device;
-  /// Build participants of the per-query barrier build (ignored when
-  /// `shared` — the registry builds with a single builder).
-  int num_workers = 1;
   /// The deployed relational model representation (registry identity: a
   /// replaced model table invalidates the cached model).
   storage::TablePtr model_table;
   /// True = resolve through the process-wide SharedModelRegistry so
   /// concurrent queries over the same (model, device) build it once and the
-  /// state arrives pre-built (barrier-free Open — required by the shared
-  /// executor's lazy per-instance opens). False = the classic per-query
-  /// state whose build runs cooperatively inside the workers' Open calls.
+  /// state arrives pre-built. False = the classic per-query state whose
+  /// build runs cooperatively inside the instances' Open calls.
   bool shared = false;
 };
 
@@ -98,17 +92,18 @@ class PhysicalPlanner {
   /// Effective worker count (1 if the plan is not parallel-safe).
   int num_workers() const { return num_workers_; }
 
-  /// Builds the operator tree for one worker. Thread-compatible: called
-  /// concurrently for distinct workers after Prepare() succeeded.
-  Result<exec::OperatorPtr> Instantiate(int worker);
+  /// Builds the private operator tree of one executor instance.
+  /// Thread-safe: called concurrently by lazily created instances after
+  /// Prepare() succeeded.
+  Result<exec::OperatorPtr> Instantiate();
 
   /// Creates shared state (ModelJoin) once; must be called before the first
   /// Instantiate.
   Status Prepare();
 
  private:
-  Result<exec::OperatorPtr> Build(const LogicalOp& node, int worker);
-  Result<exec::OperatorPtr> BuildNode(const LogicalOp& node, int worker);
+  Result<exec::OperatorPtr> Build(const LogicalOp& node);
+  Result<exec::OperatorPtr> BuildNode(const LogicalOp& node);
   /// Fuses a [Project(column refs)] [Filter]* Scan chain rooted at `node`
   /// into one FusedTableScanOperator. Returns nullptr (OK) when the chain
   /// does not qualify; the caller falls through to discrete operators.

@@ -22,7 +22,7 @@ Status ValidateLogicalPlan(const LogicalOp& plan);
 /// \brief Safety check of the morsel-driven execution gate.
 ///
 /// Run (under `INDBML_VALIDATE=1`) right before a plan is handed to the
-/// pipeline executor. Verifies the facts the morsel path relies on: the
+/// morsel executor. Verifies the facts the morsel path relies on: the
 /// analysis marked the plan parallel-safe and identified a partitioned
 /// table, and — when the plan contains an aggregation or sort, whose
 /// decomposition depends on partition boundaries never splitting a group —

@@ -1,5 +1,7 @@
 #include "sql/query_engine.h"
 
+#include <limits>
+
 #include "common/memory_tracker.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
@@ -42,12 +44,26 @@ void QueryEngine::set_options(const Options& options) {
 
 int QueryEngine::EffectiveWorkers() const { return WorkersFor(options()); }
 
-std::shared_ptr<ThreadPool> QueryEngine::SharedPool(int want) {
-  MutexLock lock(pool_mu_);
-  if (pool_ == nullptr || pool_->num_threads() != want) {
-    pool_ = std::make_shared<ThreadPool>(want);
+Result<exec::QueryResult> QueryEngine::RunJob(exec::JobSpec spec, int threads) {
+  std::shared_ptr<exec::SharedExecutor> executor;
+  {
+    std::shared_ptr<exec::SharedExecutor> retired;  // joined after unlocking
+    MutexLock lock(executor_mu_);
+    if (executor_ == nullptr || executor_->num_threads() != threads) {
+      // The bare engine has no admission control: every query runs at once.
+      exec::SharedExecutor::Options options;
+      options.worker_threads = threads;
+      options.max_inflight = std::numeric_limits<int>::max();
+      options.max_queued = 0;
+      retired = std::move(executor_);
+      executor_ = std::make_shared<exec::SharedExecutor>(options);
+    }
+    executor = executor_;
   }
-  return pool_;
+  // Holding `executor` keeps it alive until this job finished, even if a
+  // concurrent query re-sized the engine's executor meanwhile.
+  INDBML_ASSIGN_OR_RETURN(auto handle, executor->Submit(std::move(spec)));
+  return handle->Wait();
 }
 
 Result<LogicalOpPtr> QueryEngine::PlanQuery(const std::string& sql,
@@ -70,27 +86,31 @@ Result<exec::QueryResult> QueryEngine::ExecuteQuery(const std::string& sql,
   return ExecutePlan(*plan, opts, profile);
 }
 
-Result<QueryEngine::PhysicalPrep> QueryEngine::PreparePhysical(
-    const LogicalOp& plan, const Options& opts, int max_workers,
+Result<exec::JobSpec> QueryEngine::PrepareJob(
+    std::shared_ptr<const LogicalOp> plan, const Options& opts, int max_workers,
     exec::QueryProfile* profile) {
-  PhysicalPrep prep;
   Optimizer optimizer(opts.optimizer);
-  prep.analysis = optimizer.Analyze(plan);
+  const PlanAnalysis analysis = optimizer.Analyze(*plan);
   // The planner lowers a plan that is not parallel-safe for one worker, so
-  // `max_workers` is only a ceiling; one worker means serial execution.
-  prep.planner = std::make_unique<PhysicalPlanner>(
-      &plan, prep.analysis, max_workers, modeljoin_state_factory_,
+  // `max_workers` is only a ceiling; one worker means a whole-plan drain.
+  auto planner = std::make_shared<PhysicalPlanner>(
+      plan.get(), analysis, max_workers, modeljoin_state_factory_,
       modeljoin_operator_factory_, profile, opts.shared_models, opts.inference);
-  INDBML_RETURN_NOT_OK(prep.planner->Prepare());
-  if (prep.planner->num_workers() > 1) {
+  INDBML_RETURN_NOT_OK(planner->Prepare());
+  exec::JobSpec spec;
+  spec.num_instances = planner->num_workers();
+  if (planner->num_workers() > 1) {
     if (validation::Enabled()) {
-      INDBML_RETURN_NOT_OK(ValidateMorselSafety(plan, prep.analysis));
+      INDBML_RETURN_NOT_OK(ValidateMorselSafety(*plan, analysis));
     }
-    prep.morsels = exec::MakeMorsels(*prep.analysis.partitioned_table,
-                                     opts.morsel_rows,
-                                     prep.analysis.partition_predicates);
+    // Every morsel may be pruned: the job then drains one morsel-bound
+    // instance, which yields the empty result with the plan's schema.
+    spec.morsels = exec::MakeMorsels(*analysis.partitioned_table, opts.morsel_rows,
+                                     analysis.partition_predicates);
   }
-  return prep;
+  spec.factory = [planner, plan](int) { return planner->Instantiate(); };
+  spec.catalog = &catalog_;
+  return spec;
 }
 
 Result<exec::QueryResult> QueryEngine::ExecutePlan(const LogicalOp& plan,
@@ -102,37 +122,18 @@ Result<exec::QueryResult> QueryEngine::ExecutePlan(const LogicalOp& plan,
                                                    const Options& opts,
                                                    exec::QueryProfile* profile) {
   trace::Span query_span("query");
-  const int pipeline_workers = WorkersFor(opts);
-  INDBML_ASSIGN_OR_RETURN(auto prep,
-                          PreparePhysical(plan, opts, pipeline_workers, profile));
-  PhysicalPlanner& planner = *prep.planner;
+  const int workers = WorkersFor(opts);
+  // Not owned: the job finishes before this call returns.
+  std::shared_ptr<const LogicalOp> unowned(std::shared_ptr<const LogicalOp>(),
+                                           &plan);
+  INDBML_ASSIGN_OR_RETURN(auto spec,
+                          PrepareJob(std::move(unowned), opts, workers, profile));
 
   // Peak tracked memory is process-wide; the reset makes the recorded peak
   // per-query as long as queries don't overlap (Table 3 methodology).
   if (profile != nullptr) MemoryTracker::Global().ResetPeak();
   Stopwatch stopwatch;
-
-  auto run = [&]() -> Result<exec::QueryResult> {
-    if (planner.num_workers() > 1) {
-      // Every morsel may have been pruned: the workers still open (and
-      // build the model), and the collector assembles an empty result
-      // with the plan's schema.
-      exec::MorselSource source(std::move(prep.morsels));
-      exec::WorkerPlanFactory factory = [&](int worker) {
-        return planner.Instantiate(worker);
-      };
-      // Hold the shared_ptr for the query's duration: a concurrent
-      // set_options() resizing the pool must not tear it down under us.
-      std::shared_ptr<ThreadPool> run_pool = SharedPool(pipeline_workers);
-      return exec::ExecutePipeline(factory, &source, planner.num_workers(),
-                                   &catalog_, run_pool.get());
-    }
-    INDBML_ASSIGN_OR_RETURN(auto root, planner.Instantiate(0));
-    exec::ExecContext ctx;
-    ctx.catalog = &catalog_;
-    return exec::DrainOperator(root.get(), &ctx);
-  };
-  auto result = run();
+  auto result = RunJob(std::move(spec), workers);
 
   int64_t wall_micros = stopwatch.ElapsedMicros();
   metrics::Registry& registry = metrics::Registry::Global();

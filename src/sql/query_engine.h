@@ -7,7 +7,7 @@
 #include "common/config.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
+#include "exec/executor.h"
 #include "exec/operator.h"
 #include "sql/binder.h"
 #include "sql/optimizer.h"
@@ -22,9 +22,11 @@ namespace indbml::sql {
 /// Concurrency contract: the engine is safe to share across threads.
 /// Options are read as an immutable per-query snapshot taken when the query
 /// is submitted — a concurrent set_options() affects later queries, never a
-/// running one. For multi-query *scheduling* (shared executor, admission
-/// control, plan/model caches) use the serving stack in src/server/, which
-/// layers sessions over this engine.
+/// running one. Every query runs as one job on an engine-owned
+/// exec::SharedExecutor without admission limits. For multi-query
+/// *scheduling* (admission control, priorities, cancellation, plan/model
+/// caches) use the serving stack in src/server/, which layers sessions over
+/// this engine.
 class QueryEngine {
  public:
   struct Options {
@@ -47,20 +49,6 @@ class QueryEngine {
     /// that never comes; QueryServer::Options turns them on for serving.
     InferenceExecOptions inference;
     OptimizerOptions optimizer;
-  };
-
-  /// Physical execution prep shared by the engine's own ExecutePlan and the
-  /// serving layer (server/session.cc): the analyzed plan, the lowered
-  /// per-worker planner and its morsels. More than one planner worker means
-  /// the plan runs morsel-driven over `morsels`; one means a serial drain of
-  /// instance 0.
-  struct PhysicalPrep {
-    std::unique_ptr<PhysicalPlanner> planner;
-    PlanAnalysis analysis;
-    /// The partitioned table's morsels, minus those its scan's pushed
-    /// predicates rule out (exec::MakeMorsels); empty for a serial plan.
-    /// Every morsel may be pruned: the plan then yields an empty result.
-    std::vector<storage::PartitionRange> morsels;
   };
 
   QueryEngine();
@@ -117,35 +105,39 @@ class QueryEngine {
   Result<exec::QueryResult> ExecutePlan(const LogicalOp& plan, const Options& opts,
                                         exec::QueryProfile* profile);
 
-  /// Analyzes `plan` and lowers it under the given options snapshot: for
-  /// `max_workers` morsel-driven worker instances when the plan is
-  /// parallel-safe and `max_workers` > 1, for one serial instance
-  /// otherwise; a morsel-driven plan also gets its morsel list. Used by
-  /// ExecutePlan and by the shared executor path (server/session.cc), which
-  /// schedules the returned planner's instances itself. ModelJoin shared state is created
-  /// here (registry lookup when `opts.shared_models`).
-  Result<PhysicalPrep> PreparePhysical(const LogicalOp& plan, const Options& opts,
-                                       int max_workers,
-                                       exec::QueryProfile* profile);
+  /// Analyzes `plan` and lowers it under the given options snapshot into
+  /// one executor job: for `max_workers` morsel-driven instances over the
+  /// plan's morsels when the plan is parallel-safe and `max_workers` > 1,
+  /// for one whole-plan instance otherwise. ModelJoin shared state is
+  /// created here (registry lookup when `opts.shared_models`). The job's
+  /// factory keeps `plan` and the lowered planner alive until the job is
+  /// gone. Used by ExecutePlan and by the serving path (server/session.cc),
+  /// which submits the job to the server's executor.
+  Result<exec::JobSpec> PrepareJob(std::shared_ptr<const LogicalOp> plan,
+                                   const Options& opts, int max_workers,
+                                   exec::QueryProfile* profile);
 
-  /// Effective pipeline worker count: `worker_threads` if set, one per
+  /// Runs `spec` on the engine's executor, sized at `threads` workers, and
+  /// waits for its result. The executor is created on first use and
+  /// re-created when `threads` changes; a running job keeps the executor
+  /// it was submitted to. It never queues or rejects a job.
+  Result<exec::QueryResult> RunJob(exec::JobSpec spec, int threads)
+      INDBML_EXCLUDES(executor_mu_);
+
+  /// Effective worker count: `worker_threads` if set, one per
   /// hardware thread otherwise.
   int EffectiveWorkers() const;
-
-  /// Ref-counted handle on the engine's worker pool, (re)created lazily at
-  /// `want` threads. Re-sizing creates a fresh pool while in-flight queries
-  /// keep their old one alive.
-  std::shared_ptr<ThreadPool> SharedPool(int want) INDBML_EXCLUDES(pool_mu_);
 
  private:
   mutable Mutex options_mu_;
   Options options_ INDBML_GUARDED_BY(options_mu_);
   storage::Catalog catalog_;
   ModelMetaRegistry models_;
-  mutable Mutex pool_mu_;
-  std::shared_ptr<ThreadPool> pool_ INDBML_GUARDED_BY(pool_mu_);
   ModelJoinStateFactory modeljoin_state_factory_;
   ModelJoinOperatorFactory modeljoin_operator_factory_;
+  /// Declared last: destroyed (its workers joined) before the catalog.
+  Mutex executor_mu_;
+  std::shared_ptr<exec::SharedExecutor> executor_ INDBML_GUARDED_BY(executor_mu_);
 };
 
 }  // namespace indbml::sql

@@ -13,9 +13,19 @@ void InferUnderStdLock(Session* s) {
   RunInference(s);  // ^find
 }
 
-void BarrierUnderLock(Barrier& barrier) {
+void WaitUnderLock(QueryHandle& handle) {
   MutexLock lock(mu_);
-  barrier.Wait();  // ^find
+  handle.Wait();  // ^find
+}
+
+void HandleWaitUnderLock(const std::shared_ptr<QueryHandle>& handle) {
+  MutexLock lock(mu_);
+  auto result = handle->Wait();  // ^find
+}
+
+void ModelBuildUnderLock(SharedModel* model, const Table& table) {
+  MutexLock lock(mu_);
+  Status status = model->Build(table);  // ^find
 }
 
 }  // namespace indbml

@@ -13,6 +13,16 @@ void CopyThenExecute(ThreadPool& pool) {
   pool.WaitIdle();
 }
 
+// Take the handle under the lock, wait for the query after it dies.
+void CopyThenWait() {
+  std::shared_ptr<QueryHandle> handle;
+  {
+    MutexLock lock(mu_);
+    handle = pending_handle_;
+  }
+  auto result = handle->Wait();
+}
+
 // CondVar::Wait(mu) releases the mutex while sleeping: not a fat section.
 void WaitForReady() {
   MutexLock lock(mu_);

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <set>
-#include <thread>
 
 #include "common/memory_tracker.h"
 #include "common/random.h"
@@ -116,7 +115,7 @@ TEST(RandomTest, GaussianMoments) {
   EXPECT_NEAR(sq / n, 1.0, 0.05);
 }
 
-// ---------- thread pool + barrier ----------
+// ---------- thread pool ----------
 
 TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
@@ -133,26 +132,6 @@ TEST(ThreadPoolTest, WaitIdleBlocksUntilDone) {
   }
   pool.WaitIdle();
   EXPECT_EQ(done.load(), 10);
-}
-
-TEST(BarrierTest, ReleasesAllAndIsReusable) {
-  constexpr int kThreads = 4;
-  Barrier barrier(kThreads);
-  std::atomic<int> phase1{0};
-  std::atomic<int> phase2{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      ++phase1;
-      barrier.Wait();
-      // Everyone must have finished phase 1.
-      EXPECT_EQ(phase1.load(), kThreads);
-      ++phase2;
-      barrier.Wait();
-      EXPECT_EQ(phase2.load(), kThreads);
-    });
-  }
-  for (auto& t : threads) t.join();
 }
 
 // ---------- memory tracker ----------

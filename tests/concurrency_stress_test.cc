@@ -5,9 +5,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,8 +33,8 @@ namespace {
 constexpr int kRounds = 50;
 constexpr int kTasksPerRound = 64;
 
-/// Submit/WaitIdle churn: WaitIdle() is the engine's pipeline barrier, so a
-/// task counted as finished must have all its writes visible to the waiter.
+/// Submit/WaitIdle churn: a task counted as finished by WaitIdle() must have
+/// all its writes visible to the waiter.
 TEST(ThreadPoolStressTest, SubmitWaitIdleHammer) {
   ThreadPool pool(4);
   int64_t plain_counter = 0;  // deliberately non-atomic: WaitIdle must order it
@@ -78,42 +81,6 @@ TEST(ThreadPoolStressTest, ParallelForDisjointWrites) {
       ASSERT_EQ(data[static_cast<size_t>(i)], int64_t{round} * kN + i);
     }
   }
-}
-
-/// Barrier reuse across many generations (paper §5.2 uses one barrier per
-/// phase; the implementation is generation-counted so one object can gate
-/// many rounds). Each participant increments before the barrier and checks
-/// the full sum after it; a second Wait() per round keeps the check phase
-/// from racing with the next round's increments.
-TEST(BarrierStressTest, MultiGenerationReuse) {
-  constexpr int kParticipants = 4;
-  constexpr int kGenerations = 200;
-  ThreadPool pool(kParticipants);
-  Barrier barrier(kParticipants);
-  std::atomic<int64_t> sum{0};
-  std::atomic<int64_t> mismatches{0};
-  for (int p = 0; p < kParticipants; ++p) {
-    pool.Submit([&barrier, &sum, &mismatches] {
-      for (int gen = 1; gen <= kGenerations; ++gen) {
-        sum.fetch_add(1, std::memory_order_relaxed);
-        barrier.Wait();  // everyone incremented for this generation
-        if (sum.load(std::memory_order_relaxed) !=
-            int64_t{gen} * kParticipants) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-        barrier.Wait();  // everyone checked; next generation may start
-      }
-    });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(sum.load(), int64_t{kGenerations} * kParticipants);
-}
-
-/// A Barrier sized 1 degenerates to a no-op and must never block.
-TEST(BarrierStressTest, SingleParticipant) {
-  Barrier barrier(1);
-  for (int i = 0; i < 1000; ++i) barrier.Wait();
 }
 
 /// Concurrent metric updates while another thread snapshots the registry.
@@ -234,9 +201,10 @@ TEST(MorselSourceStressTest, AbortStopsHandouts) {
   EXPECT_FALSE(source.Next(&extra));
 }
 
-/// Concurrent ModelJoin shared-model builds: every partition thread parses
-/// its slice into the shared weight matrices and rendezvouses on the build
-/// barrier. Repeated rounds catch generation/reuse races in the barriers.
+/// Concurrent ModelJoin shared-model builds: every caller claims ranges of
+/// the model table, parses them into the shared weight matrices and waits
+/// for the build to finish. Repeated rounds on fresh models catch missing
+/// happens-before edges between the parsers, the uploader and the waiters.
 TEST(SharedModelStressTest, ConcurrentBuildRounds) {
   auto model_or = nn::MakeDenseBenchmarkModel(/*width=*/12, /*depth=*/3, 7);
   ASSERT_TRUE(model_or.ok());
@@ -247,20 +215,19 @@ TEST(SharedModelStressTest, ConcurrentBuildRounds) {
   storage::TablePtr table = std::move(table_or).ValueOrDie();
   auto cpu = device::MakeCpuDevice();
 
-  constexpr int kPartitions = 5;
-  ThreadPool pool(kPartitions);
+  constexpr int kCallers = 5;
+  ThreadPool pool(kCallers);
   for (int round = 0; round < 10; ++round) {
-    inference::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(),
-                                  kPartitions, 256);
-    std::vector<Status> statuses(kPartitions);
-    for (int p = 0; p < kPartitions; ++p) {
+    inference::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(), 256);
+    std::vector<Status> statuses(kCallers);
+    for (int p = 0; p < kCallers; ++p) {
       pool.Submit([&shared, &table, &statuses, p] {
-        statuses[static_cast<size_t>(p)] = shared.BuildPartition(*table, p);
+        statuses[static_cast<size_t>(p)] = shared.Build(*table);
       });
     }
     pool.WaitIdle();
     for (const Status& s : statuses) ASSERT_OK(s);
-    // Spot-check: all partitions' writes are visible after the barrier.
+    // Spot-check: every caller's writes are visible after the build.
     const nn::DenseLayer& dense = model.layers()[0].dense;
     const float* w = shared.dense_kernel(0);
     for (int64_t in = 0; in < dense.input_dim; ++in) {
@@ -329,6 +296,70 @@ TEST(SharedBufferStressTest, ResultViewsOutliveEngineAndTable) {
   for (int64_t s : sums) total += s;
   // ids ≡ 3 (mod 5) over [0, kRows): 10000 survivors summing to 250005000.
   EXPECT_EQ(total, 250005000);
+}
+
+/// The bare engine has no admission control: more concurrent callers than
+/// a QueryServer admits by default (8 running + 64 queued) all run at once
+/// on the engine's executor. Re-sizing the executor (set_options with a new
+/// worker_threads) while queries run must leave each query on the executor
+/// it was submitted to, alive until the query finishes.
+TEST(EngineExecutorStressTest, UnlimitedCallersAndResizeMidFlight) {
+  constexpr int kClients = 80;
+  constexpr int64_t kRows = 100000;
+  auto table = std::make_shared<storage::Table>(
+      "t", std::vector<storage::Field>{{"id", storage::DataType::kInt64},
+                                       {"k", storage::DataType::kInt64}});
+  table->Reserve(kRows);
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_OK(table->AppendRow(
+        {storage::Value::Int64(i), storage::Value::Int64(i % 5)}));
+  }
+  table->Finalize();
+  table->SetUniqueIdColumn("id");
+  table->SetSortedBy({"id"});
+  sql::QueryEngine::Options options;
+  options.worker_threads = 3;
+  options.morsel_rows = 256;  // many morsels per query: long enough to overlap
+  sql::QueryEngine engine(options);
+  ASSERT_OK(engine.catalog()->CreateTable(table));
+
+  // Each client waits at the gate, then runs one query; the sum of the ids
+  // that are 3 (mod 5) proves the rows are complete and in place.
+  int64_t expected_sum = 0;
+  for (int64_t i = 3; i < kRows; i += 5) expected_sum += i;
+  auto run_clients = [&](const std::function<void()>& while_running) {
+    std::atomic<int> arrived{0};
+    std::atomic<int> finished{0};
+    std::atomic<int> wrong{0};
+    ThreadPool clients(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      clients.Submit([&] {
+        arrived.fetch_add(1);
+        while (arrived.load() < kClients) std::this_thread::yield();
+        auto result = engine.ExecuteQuery("SELECT id FROM t WHERE k = 3");
+        int64_t rows = -1;
+        int64_t sum = 0;
+        if (result.ok()) {
+          const exec::QueryResult& r = result.ValueOrDie();
+          rows = r.num_rows;
+          for (int64_t row = 0; row < r.num_rows; ++row) sum += r.GetValue(row, 0).i;
+        }
+        if (rows != kRows / 5 || sum != expected_sum) wrong.fetch_add(1);
+        finished.fetch_add(1);
+      });
+    }
+    while (finished.load() < kClients) while_running();
+    clients.WaitIdle();
+    EXPECT_EQ(wrong.load(), 0);
+  };
+
+  run_clients([] { std::this_thread::yield(); });
+  int step = 0;
+  run_clients([&] {
+    options.worker_threads = 1 + (++step % 4);
+    engine.set_options(options);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  });
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Tests of the morsel-driven pipeline executor (exec/morsel.h): morsel
-// generation, the DataChunk buffer-reuse hot path, the engine's worker-pool
-// options, and — the core acceptance property — that morsel-driven parallel
+// Tests of morsel-driven execution (exec/morsel.h, exec/executor.h):
+// morsel generation, the DataChunk buffer-reuse hot path, the engine's
+// worker options, and — the core acceptance property — that morsel-driven parallel
 // execution is row-for-row identical to serial execution across scans,
 // filters, joins, aggregation, sorting and the native ModelJoin.
 

@@ -22,7 +22,6 @@
 #include "benchlib/workloads.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
-#include "common/validation.h"
 #include "mltosql/mltosql.h"
 #include "modeljoin/model_registry.h"
 #include "modeljoin/register.h"
@@ -51,6 +50,15 @@ void ExpectRowIdentical(const exec::QueryResult& got,
           << "row " << r << " col " << c;
     }
   }
+}
+
+/// Puts `fact` into the engine's catalog and deploys `model` as `name`.
+void DeployModel(sql::QueryEngine* engine, const storage::TablePtr& fact,
+                 const nn::Model& model, const std::string& name) {
+  engine->catalog()->CreateOrReplaceTable(fact);
+  mltosql::MlToSql framework(&model, "m");
+  ASSERT_OK(framework.Deploy(engine));
+  engine->models()->Register(nn::MetaOf(model, name));
 }
 
 class ServerTest : public ::testing::Test {
@@ -102,7 +110,7 @@ TEST_F(ServerTest, SerialPlanRunsOnExecutor) {
   auto srv = MakeServer();
   LoadIris(srv.get(), 1000);
   auto session = srv->CreateSession();
-  // Global sort + limit is not parallel-safe: exercises the serial job path.
+  // Global sort + limit is not parallel-safe: exercises the whole-plan job.
   const std::string query =
       "SELECT id, sepal_length FROM fact ORDER BY sepal_length, id LIMIT 7";
   ASSERT_OK_AND_ASSIGN(auto via_session, session->ExecuteQuery(query));
@@ -362,8 +370,7 @@ TEST_F(ServerTest, AdmissionControlRejectsWhenSaturated) {
   Mutex gate_mu;
   CondVar gate_cv;
   bool gate_open = false;
-  server::JobSpec blocker;
-  blocker.serial = true;
+  exec::JobSpec blocker;  // no morsels: one whole-plan dispatch
   blocker.factory = [&](int) -> Result<exec::OperatorPtr> {
     MutexLock lock(gate_mu);
     while (!gate_open) gate_cv.Wait(gate_mu);
@@ -453,14 +460,6 @@ class PushdownIdentityTest : public ServerTest {
   /// Past the first morsel edge at the default morsel size (16384 rows).
   static constexpr int64_t kRows = 20000;
 
-  static void Deploy(sql::QueryEngine* engine, const storage::TablePtr& fact,
-                     const nn::Model& model, const std::string& name) {
-    engine->catalog()->CreateOrReplaceTable(fact);
-    mltosql::MlToSql framework(&model, "m");
-    ASSERT_OK(framework.Deploy(engine));
-    engine->models()->Register(nn::MetaOf(model, name));
-  }
-
   /// Builds the pushdown-off serial reference and, at 1 and 4 workers, a
   /// bare engine and a server, each holding `fact` and `model`.
   void SetUpEngines(const storage::TablePtr& fact, const nn::Model& model,
@@ -470,17 +469,17 @@ class PushdownIdentityTest : public ServerTest {
     ref_options.optimizer.predicate_pushdown = false;
     reference_ = std::make_unique<sql::QueryEngine>(ref_options);
     modeljoin::RegisterNativeModelJoin(reference_.get());
-    Deploy(reference_.get(), fact, model, name);
+    DeployModel(reference_.get(), fact, model, name);
     for (int workers : {1, 4}) {
       sql::QueryEngine::Options options;
       options.worker_threads = workers;
       engines_.push_back(std::make_unique<sql::QueryEngine>(options));
       modeljoin::RegisterNativeModelJoin(engines_.back().get());
-      Deploy(engines_.back().get(), fact, model, name);
+      DeployModel(engines_.back().get(), fact, model, name);
       server::QueryServer::Options server_options;
       server_options.worker_threads = workers;
       servers_.push_back(MakeServer(server_options));
-      Deploy(servers_.back()->engine(), fact, model, name);
+      DeployModel(servers_.back()->engine(), fact, model, name);
     }
   }
 
@@ -634,18 +633,97 @@ TEST_F(PushdownIdentityTest, MixedTypePredicatesMatchUnpushedSerial) {
 /// must not reject a block for the NaN rows' sake, nor keep its NaN rows
 /// out of a `<>`.
 TEST_F(PushdownIdentityTest, NaNPredicatesMatchUnpushedSerial) {
-  // Chunk validation (INDBML_VALIDATE=1) fails any operator but a ModelJoin
-  // that emits a NaN, so every query reading x would fail; these cases run
-  // with it off.
-  struct ValidationOff {
-    ValidationOff() { validation::SetEnabledForTesting(0); }
-    ~ValidationOff() { validation::SetEnabledForTesting(-1); }
-  } validation_off;
   constexpr int64_t kOddRows = 2 * kRowsPerBlock;
   ExpectCasesMatch("id, x", {{"x > 1.0", kOddRows - 2},
                              {"x <> 5.0", 2},
                              {"x = 5.0", kOddRows - 2},
                              {"id <= 16777216.0 AND x <> 5.0", 1}});
+}
+
+/// A ModelJoin query over `fact` with `model` deployed as `name`.
+std::string ModelJoinSql(const storage::TablePtr& fact, const std::string& name,
+                         const std::string& inputs) {
+  return "SELECT id, prediction FROM " + fact->name() +
+         " MODEL JOIN m USING MODEL '" + name + "' DEVICE 'cpu' PREDICT (" +
+         inputs + ")";
+}
+
+// Without the shared-model registry a served ModelJoin builds its model per
+// query, inside the Open of whichever executor instances start it, and runs
+// morsel-parallel like any other plan. Predictions match a serial
+// bare-engine run bit for bit.
+TEST_F(ServerTest, PerQueryBuiltModelJoinsServedMorselParallel) {
+  server::QueryServer::Options options;
+  options.worker_threads = 4;
+  options.engine.shared_models = false;
+  options.engine.morsel_rows = 1024;  // ~20 morsels over 4 instances
+  auto srv = MakeServer(options);
+  sql::QueryEngine::Options serial_options;
+  serial_options.worker_threads = 1;
+  sql::QueryEngine serial(serial_options);
+  modeljoin::RegisterNativeModelJoin(&serial);
+
+  ASSERT_OK_AND_ASSIGN(nn::Model dense, nn::MakeDenseBenchmarkModel(16, 3, 21));
+  ASSERT_OK_AND_ASSIGN(nn::Model lstm, nn::MakeLstmBenchmarkModel(12, 3, 33));
+  struct Case {
+    storage::TablePtr fact;
+    const nn::Model* model;
+    std::string name;
+    std::string inputs;
+  };
+  const Case cases[] = {
+      {benchlib::MakeIrisTable("fact", 20000), &dense, "dense16",
+       "sepal_length, sepal_width, petal_length, petal_width"},
+      {benchlib::MakeSinusTable("series", 20000, 3), &lstm, "lstm12", "x0, x1, x2"},
+  };
+  auto session = srv->CreateSession();
+  const int64_t builds0 = CounterValue("modeljoin.registry_builds");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    DeployModel(srv->engine(), c.fact, *c.model, c.name);
+    DeployModel(&serial, c.fact, *c.model, c.name);
+    const std::string sql = ModelJoinSql(c.fact, c.name, c.inputs);
+    ASSERT_OK_AND_ASSIGN(auto want, serial.ExecuteQuery(sql));
+    ASSERT_EQ(want.num_rows, 20000);
+    for (int run = 0; run < 2; ++run) {
+      ASSERT_OK_AND_ASSIGN(auto served, session->ExecuteQuery(sql));
+      ExpectBitIdentical(served, want);
+    }
+  }
+  EXPECT_EQ(CounterValue("modeljoin.registry_builds"), builds0)
+      << "per-query builds must bypass the registry";
+}
+
+// The barrier-free build lets a ModelJoin planned for 4 instances finish on
+// an executor with a single thread: the one worker opens one instance,
+// builds the whole model and then drains every morsel with it.
+TEST(SharedExecutorTest, OneThreadRunsPerQueryModelJoinPlannedForFourInstances) {
+  sql::QueryEngine::Options options;
+  options.worker_threads = 1;
+  options.morsel_rows = 1024;
+  sql::QueryEngine engine(options);
+  modeljoin::RegisterNativeModelJoin(&engine);
+  ASSERT_OK_AND_ASSIGN(nn::Model model, nn::MakeDenseBenchmarkModel(16, 3, 21));
+  storage::TablePtr fact = benchlib::MakeIrisTable("fact", 20000);
+  DeployModel(&engine, fact, model, "dense16");
+  const std::string sql = ModelJoinSql(
+      fact, "dense16", "sepal_length, sepal_width, petal_length, petal_width");
+
+  ASSERT_OK_AND_ASSIGN(auto planned, engine.PlanQuery(sql));
+  ASSERT_OK_AND_ASSIGN(
+      exec::JobSpec spec,
+      engine.PrepareJob(std::shared_ptr<const sql::LogicalOp>(std::move(planned)),
+                        options, /*max_workers=*/4, nullptr));
+  ASSERT_EQ(spec.num_instances, 4);
+  ASSERT_GT(spec.morsels.size(), 4u);
+  exec::SharedExecutor::Options one_thread;
+  one_thread.worker_threads = 1;
+  exec::SharedExecutor executor(one_thread);
+  ASSERT_OK_AND_ASSIGN(auto handle, executor.Submit(std::move(spec)));
+  ASSERT_OK_AND_ASSIGN(auto got, handle->Wait());
+
+  ASSERT_OK_AND_ASSIGN(auto want, engine.ExecuteQuery(sql));  // serial drain
+  ExpectBitIdentical(got, want);
 }
 
 TEST(SharedExecutorTest, PriorityClampAndDone) {

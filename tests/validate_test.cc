@@ -190,6 +190,34 @@ TEST_F(PlanValidationTest, OptimizeWithValidationAcceptsGoodPlans) {
   EXPECT_EQ(result.num_rows, 2);
 }
 
+// A NaN or infinity the table stores is data, not a corrupted intermediate:
+// scans and the operators above them may carry it under validation.
+TEST_F(PlanValidationTest, StoredNonFiniteValuesPassValidation) {
+  validation::SetEnabledForTesting(1);
+  ASSERT_OK(engine_.catalog()->CreateTable(testutil::MakeTable(
+      "odd", {{"id", storage::DataType::kInt64}, {"x", storage::DataType::kFloat}},
+      {{testutil::I(1), testutil::F(std::nanf(""))},
+       {testutil::I(2), testutil::F(INFINITY)},
+       {testutil::I(3), testutil::F(3.5f)}})));
+  ASSERT_OK_AND_ASSIGN(auto scanned, engine_.ExecuteQuery("SELECT id, x FROM odd"));
+  EXPECT_EQ(scanned.num_rows, 3);
+  ASSERT_OK_AND_ASSIGN(
+      auto projected,
+      engine_.ExecuteQuery("SELECT id, x + 1.0 AS y FROM odd WHERE id > 0"));
+  EXPECT_EQ(projected.num_rows, 3);
+}
+
+// A table whose block stats say "finite" keeps the check: a scan emitting a
+// NaN there (here: a value corrupted behind the finalized stats) fails.
+TEST_F(PlanValidationTest, NaNFromFiniteTableStillCaught) {
+  validation::SetEnabledForTesting(1);
+  const_cast<float*>(table_->column(1).float_data())[1] = std::nanf("");
+  auto result = engine_.ExecuteQuery("SELECT id, x FROM t");
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("non-finite"), std::string::npos)
+      << result.status().ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Shared-model shape invariants.
 
@@ -200,8 +228,8 @@ TEST_F(ValidationTest, SharedModelShapeInvariantsHold) {
   mltosql::MlToSql framework(&model, "m");
   ASSERT_OK_AND_ASSIGN(storage::TablePtr table, framework.BuildModelTable());
   auto cpu = device::MakeCpuDevice();
-  inference::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(), 1, 64);
-  ASSERT_OK(shared.BuildPartition(*table, 0));
+  inference::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(), 64);
+  ASSERT_OK(shared.Build(*table));
   EXPECT_OK(inference::ValidateSharedModelShape(shared));
 }
 
@@ -213,8 +241,8 @@ TEST_F(ValidationTest, SharedModelBuildRunsShapeCheckWhenEnabled) {
   mltosql::MlToSql framework(&model, "m");
   ASSERT_OK_AND_ASSIGN(storage::TablePtr table, framework.BuildModelTable());
   auto cpu = device::MakeCpuDevice();
-  inference::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(), 1, 32);
-  EXPECT_OK(shared.BuildPartition(*table, 0));
+  inference::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(), 32);
+  EXPECT_OK(shared.Build(*table));
 }
 
 // ---------------------------------------------------------------------------
