@@ -126,25 +126,125 @@ double ArgValue(const Vector& v, int64_t row) {
   return 0;
 }
 
-bool SameKey(const std::vector<Value>& a, const std::vector<Vector>& vecs,
-             int64_t row) {
-  for (size_t k = 0; k < a.size(); ++k) {
-    const Value& va = a[k];
-    Value vb = vecs[k].GetValue(row);
-    if (va.type != vb.type) return false;
-    switch (va.type) {
-      case DataType::kBool:
-        if (va.b != vb.b) return false;
-        break;
-      case DataType::kInt64:
-        if (va.i != vb.i) return false;
-        break;
-      case DataType::kFloat:
-        if (va.f != vb.f) return false;
-        break;
+Value KeyValue(DataType type, uint64_t part) {
+  switch (type) {
+    case DataType::kBool:
+      return Value::Bool(part != 0);
+    case DataType::kInt64:
+      return Value::Int64(static_cast<int64_t>(part));
+    case DataType::kFloat: {
+      const uint32_t bits = static_cast<uint32_t>(part);
+      float f;
+      std::memcpy(&f, &bits, sizeof(f));
+      return Value::Float(f);
     }
   }
-  return true;
+  return Value();
+}
+
+/// Slot of hash `h` in an open-addressing table of `mask + 1` slots; the
+/// multiply spreads the FNV hash's low-entropy bits over the whole word.
+size_t SlotOf(uint64_t h, size_t mask) {
+  return static_cast<size_t>((h * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+}
+
+}  // namespace
+
+GroupTable::GroupTable(std::vector<DataType> key_types, size_t num_aggregates)
+    : key_types_(std::move(key_types)),
+      num_keys_(key_types_.size()),
+      num_aggs_(num_aggregates),
+      slots_(16, -1),
+      parts_(key_types_.size()) {}
+
+void GroupTable::Grow() {
+  std::vector<int32_t> slots(slots_.size() * 2, -1);
+  const size_t mask = slots.size() - 1;
+  for (size_t g = 0; g < hashes_.size(); ++g) {
+    size_t s = SlotOf(hashes_[g], mask);
+    while (slots[s] >= 0) s = (s + 1) & mask;
+    slots[s] = static_cast<int32_t>(g);
+  }
+  slots_ = std::move(slots);
+}
+
+int64_t GroupTable::FindOrInsert(const uint64_t* parts, uint64_t h) {
+  const size_t mask = slots_.size() - 1;
+  size_t s = SlotOf(h, mask);
+  while (slots_[s] >= 0) {
+    const size_t g = static_cast<size_t>(slots_[s]);
+    if (hashes_[g] == h &&
+        std::equal(parts, parts + num_keys_, keys_.begin() + g * num_keys_)) {
+      return static_cast<int64_t>(g);
+    }
+    s = (s + 1) & mask;
+  }
+  const size_t g = hashes_.size();
+  slots_[s] = static_cast<int32_t>(g);
+  hashes_.push_back(h);
+  keys_.insert(keys_.end(), parts, parts + num_keys_);
+  states_.resize(states_.size() + num_aggs_);
+  if (2 * hashes_.size() > slots_.size()) Grow();
+  return static_cast<int64_t>(g);
+}
+
+Status GroupTable::AddChunk(const std::vector<ExprPtr>& groups,
+                            const std::vector<AggregateSpec>& aggregates,
+                            const DataChunk& in) {
+  INDBML_RETURN_NOT_OK(EvalChunk(groups, aggregates, in, &key_vecs_, &arg_vecs_));
+  for (int64_t r = 0; r < in.size; ++r) {
+    for (size_t k = 0; k < num_keys_; ++k) parts_[k] = KeyPart(key_vecs_[k], r);
+    const int64_t g = FindOrInsert(parts_.data(), HashKeyParts(parts_.data(), num_keys_));
+    AggState* states = states_.data() + static_cast<size_t>(g) * num_aggs_;
+    for (size_t a = 0; a < num_aggs_; ++a) {
+      states[a].Update(aggregates[a].argument ? ArgValue(arg_vecs_[a], r) : 1.0);
+    }
+  }
+  return Status::OK();
+}
+
+void GroupTable::Merge(const GroupTable& other) {
+  for (size_t og = 0; og < other.hashes_.size(); ++og) {
+    const int64_t g =
+        FindOrInsert(other.keys_.data() + og * num_keys_, other.hashes_[og]);
+    for (size_t a = 0; a < num_aggs_; ++a) {
+      states_[static_cast<size_t>(g) * num_aggs_ + a].Merge(
+          other.states_[og * num_aggs_ + a]);
+    }
+  }
+}
+
+void GroupTable::EnsureGlobalGroup() {
+  if (num_keys_ == 0 && hashes_.empty()) FindOrInsert(nullptr, HashKeyParts(nullptr, 0));
+}
+
+void GroupTable::EmitRow(int64_t g, const std::vector<AggregateSpec>& aggregates,
+                         DataChunk* out) const {
+  const size_t group = static_cast<size_t>(g);
+  int64_t col = 0;
+  for (size_t k = 0; k < num_keys_; ++k) {
+    out->column(col++).Append(KeyValue(key_types_[k], keys_[group * num_keys_ + k]));
+  }
+  for (size_t a = 0; a < num_aggs_; ++a) {
+    out->column(col++).Append(states_[group * num_aggs_ + a].Finalize(
+        aggregates[a].function, aggregates[a].result_type));
+  }
+  ++out->size;
+}
+
+int64_t GroupTable::Bytes() const {
+  return static_cast<int64_t>(keys_.size() * sizeof(uint64_t) +
+                              hashes_.size() * sizeof(uint64_t) +
+                              states_.size() * sizeof(AggState) +
+                              slots_.size() * sizeof(int32_t));
+}
+
+namespace {
+
+std::vector<DataType> KeyTypes(const std::vector<ExprPtr>& groups) {
+  std::vector<DataType> types;
+  for (const auto& g : groups) types.push_back(g->type);
+  return types;
 }
 
 }  // namespace
@@ -157,76 +257,37 @@ HashAggregateOperator::HashAggregateOperator(OperatorPtr child,
       groups_(std::move(groups)),
       aggregates_(std::move(aggregates)),
       types_(BuildTypes(groups_, aggregates_)),
-      names_(BuildNames(group_names, aggregates_)) {}
+      names_(BuildNames(group_names, aggregates_)),
+      table_(KeyTypes(groups_), aggregates_.size()) {}
 
-Status HashAggregateOperator::Open(ExecContext* ctx) {
-  table_.clear();
-  emit_order_.clear();
+void HashAggregateOperator::ResetTable() {
+  table_ = GroupTable(KeyTypes(groups_), aggregates_.size());
   emit_cursor_ = 0;
   consumed_ = false;
+}
+
+Status HashAggregateOperator::Open(ExecContext* ctx) {
+  ResetTable();
   return child_->Open(ctx);
 }
 
 Status HashAggregateOperator::Rewind(ExecContext* ctx) {
-  table_.clear();
-  emit_order_.clear();
-  emit_cursor_ = 0;
-  consumed_ = false;
+  ResetTable();
   return child_->Rewind(ctx);
 }
 
 Status HashAggregateOperator::Consume(ExecContext* ctx) {
   bool eof = false;
-  std::vector<Vector> group_vecs;
-  std::vector<Vector> arg_vecs;
-  std::vector<uint64_t> parts(groups_.size());
   while (!eof) {
     in_.Reset(child_->output_types());
     INDBML_RETURN_NOT_OK(child_->Next(ctx, &in_, &eof));
     if (in_.size == 0) continue;
-    const DataChunk& in = in_;
-    INDBML_RETURN_NOT_OK(EvalChunk(groups_, aggregates_, in, &group_vecs, &arg_vecs));
-    for (int64_t r = 0; r < in.size; ++r) {
-      for (size_t k = 0; k < group_vecs.size(); ++k) {
-        parts[k] = KeyPart(group_vecs[k], r);
-      }
-      uint64_t h = HashKeyParts(parts.data(), parts.size());
-      auto& bucket = table_[h];
-      GroupEntry* entry = nullptr;
-      for (auto& candidate : bucket) {
-        if (SameKey(candidate.key_values, group_vecs, r)) {
-          entry = &candidate;
-          break;
-        }
-      }
-      if (entry == nullptr) {
-        GroupEntry fresh;
-        fresh.key_values.reserve(groups_.size());
-        for (size_t k = 0; k < group_vecs.size(); ++k) {
-          fresh.key_values.push_back(group_vecs[k].GetValue(r));
-        }
-        fresh.states.resize(aggregates_.size());
-        bucket.push_back(std::move(fresh));
-        entry = &bucket.back();
-      }
-      for (size_t a = 0; a < aggregates_.size(); ++a) {
-        double v = aggregates_[a].argument ? ArgValue(arg_vecs[a], r) : 1.0;
-        entry->states[a].Update(v);
-      }
-    }
+    INDBML_RETURN_NOT_OK(table_.AddChunk(groups_, aggregates_, in_));
   }
   // SQL semantics: a global aggregate (no GROUP BY) over empty input still
   // produces one row (COUNT = 0, sums empty).
-  if (groups_.empty() && table_.empty()) {
-    GroupEntry empty_entry;
-    empty_entry.states.resize(aggregates_.size());
-    table_[0].push_back(std::move(empty_entry));
-  }
-  emit_order_.reserve(table_.size());
-  for (const auto& [h, bucket] : table_) {
-    for (const auto& entry : bucket) emit_order_.push_back(&entry);
-  }
-  int64_t bytes = HashTableBytes();
+  table_.EnsureGlobalGroup();
+  int64_t bytes = table_.Bytes();
   MemoryTracker::Global().Allocate(bytes - tracked_bytes_);
   tracked_bytes_ = bytes;
   consumed_ = true;
@@ -239,32 +300,11 @@ HashAggregateOperator::~HashAggregateOperator() {
 
 Status HashAggregateOperator::Next(ExecContext* ctx, DataChunk* out, bool* eof) {
   if (!consumed_) INDBML_RETURN_NOT_OK(Consume(ctx));
-  while (emit_cursor_ < emit_order_.size() && out->size < kDefaultVectorSize) {
-    const GroupEntry& entry = *emit_order_[emit_cursor_++];
-    int64_t col = 0;
-    for (const Value& v : entry.key_values) {
-      out->column(col++).Append(v);
-    }
-    for (size_t a = 0; a < aggregates_.size(); ++a) {
-      out->column(col++).Append(
-          entry.states[a].Finalize(aggregates_[a].function, aggregates_[a].result_type));
-    }
-    ++out->size;
+  while (emit_cursor_ < table_.num_groups() && out->size < kDefaultVectorSize) {
+    table_.EmitRow(emit_cursor_++, aggregates_, out);
   }
-  *eof = emit_cursor_ >= emit_order_.size();
+  *eof = emit_cursor_ >= table_.num_groups();
   return Status::OK();
-}
-
-int64_t HashAggregateOperator::HashTableBytes() const {
-  int64_t bytes = 0;
-  for (const auto& [h, bucket] : table_) {
-    bytes += 48;  // bucket overhead
-    for (const auto& entry : bucket) {
-      bytes += static_cast<int64_t>(entry.key_values.size() * sizeof(Value) +
-                                    entry.states.size() * sizeof(AggState));
-    }
-  }
-  return bytes;
 }
 
 StreamingAggregateOperator::StreamingAggregateOperator(

@@ -39,11 +39,76 @@ struct AggState {
     if (!seen || v > max) max = v;
     seen = true;
   }
+  /// Folds another state of the same aggregate into this one (a partial
+  /// aggregate merged across morsels; AVG merges as its sum and count).
+  void Merge(const AggState& other) {
+    if (!other.seen) return;
+    sum += other.sum;
+    count += other.count;
+    if (!seen || other.min < min) min = other.min;
+    if (!seen || other.max > max) max = other.max;
+    seen = true;
+  }
   Value Finalize(AggFunction fn, DataType result_type) const;
 };
 
+/// \brief Groups and their aggregate states, kept in first-seen order.
+///
+/// The table of HashAggregateOperator and the per-morsel partial aggregate
+/// of a plan cut at an aggregate (exec/merge.h). Keys compare by their bit
+/// patterns, so equal keys always land in one group (NaN keys of one bit
+/// pattern included). The group order depends only on the order rows and
+/// merged tables arrive in, never on hashing, so merging per-morsel tables
+/// in morsel order gives the same groups, order and sums however many
+/// workers produced them.
+class GroupTable {
+ public:
+  GroupTable(std::vector<DataType> key_types, size_t num_aggregates);
+
+  /// Evaluates the group keys and aggregate arguments over `in` and folds
+  /// its rows into their groups.
+  Status AddChunk(const std::vector<ExprPtr>& groups,
+                  const std::vector<AggregateSpec>& aggregates, const DataChunk& in);
+
+  /// Folds `other` (same keys and aggregates) into this table, taking its
+  /// new groups in `other`'s order.
+  void Merge(const GroupTable& other);
+
+  /// A global aggregate (no keys) over no rows still yields one row: adds
+  /// that row's empty group if the table has no keys and no groups.
+  void EnsureGlobalGroup();
+
+  int64_t num_groups() const { return static_cast<int64_t>(hashes_.size()); }
+
+  /// Appends group `g` as one row of `out`: its key values, then each
+  /// aggregate finalized.
+  void EmitRow(int64_t g, const std::vector<AggregateSpec>& aggregates,
+               DataChunk* out) const;
+
+  /// Approximate bytes held (memory experiments and tracking).
+  int64_t Bytes() const;
+
+ private:
+  /// The group of the key `parts` (hash `h`), created if new.
+  int64_t FindOrInsert(const uint64_t* parts, uint64_t h);
+  void Grow();
+
+  std::vector<DataType> key_types_;
+  size_t num_keys_;
+  size_t num_aggs_;
+  std::vector<uint64_t> keys_;    ///< [group * num_keys + k] key bit patterns
+  std::vector<uint64_t> hashes_;  ///< per group
+  std::vector<AggState> states_;  ///< [group * num_aggs + a]
+  std::vector<int32_t> slots_;    ///< open addressing: group index or -1
+  // Scratch reused across AddChunk calls.
+  std::vector<Vector> key_vecs_;
+  std::vector<Vector> arg_vecs_;
+  std::vector<uint64_t> parts_;
+};
+
 /// \brief Hash-based grouped aggregation (pipeline breaker): the default
-/// physical choice when the input carries no usable order.
+/// physical choice when the input carries no usable order. Emits its groups
+/// in first-seen order.
 class HashAggregateOperator final : public Operator {
  public:
   HashAggregateOperator(OperatorPtr child, std::vector<ExprPtr> groups,
@@ -61,18 +126,14 @@ class HashAggregateOperator final : public Operator {
   bool MorselDriven() const override { return child_->MorselDriven(); }
 
   /// Approximate bytes held by the hash table (memory experiments).
-  int64_t HashTableBytes() const;
+  int64_t HashTableBytes() const { return table_.Bytes(); }
 
  private:
-  struct GroupEntry {
-    std::vector<Value> key_values;
-    std::vector<AggState> states;
-  };
-
   /// Drains the (already open) child into the group table. Runs lazily on
   /// the first Next after Open/Rewind so each morsel aggregates only its
   /// own rows.
   Status Consume(ExecContext* ctx);
+  void ResetTable();
 
   OperatorPtr child_;
   std::vector<ExprPtr> groups_;
@@ -80,9 +141,8 @@ class HashAggregateOperator final : public Operator {
   std::vector<DataType> types_;
   std::vector<std::string> names_;
 
-  std::unordered_map<uint64_t, std::vector<GroupEntry>> table_;
-  std::vector<const GroupEntry*> emit_order_;
-  size_t emit_cursor_ = 0;
+  GroupTable table_;
+  int64_t emit_cursor_ = 0;
   int64_t tracked_bytes_ = 0;
   bool consumed_ = false;
   DataChunk in_;  ///< reused input buffer (no per-batch reallocation)

@@ -86,53 +86,18 @@ Status SortOperator::Open(ExecContext* ctx) {
 }
 
 Status SortOperator::Rewind(ExecContext* ctx) {
-  materialized_ = QueryResult();
-  order_.clear();
+  run_ = SortedRun();
   cursor_ = 0;
   sorted_ = false;
   return child_->Rewind(ctx);
 }
 
 Status SortOperator::Materialize(ExecContext* ctx) {
-  materialized_ = QueryResult();
-  materialized_.names = child_->output_names();
-  materialized_.types = child_->output_types();
-  INDBML_RETURN_NOT_OK(DrainAppend(child_.get(), ctx, &materialized_));
-  // Evaluate the sort keys per chunk, then sort a (chunk,row) index vector.
-  std::vector<std::vector<Vector>> key_cols;  // [chunk][key]
-  key_cols.reserve(materialized_.chunks.size());
-  for (const DataChunk& chunk : materialized_.chunks) {
-    std::vector<Vector> keys;
-    keys.reserve(keys_.size());
-    for (const auto& k : keys_) {
-      Vector v(k->type);
-      INDBML_RETURN_NOT_OK(EvaluateExpr(*k, chunk, &v));
-      keys.push_back(std::move(v));
-    }
-    key_cols.push_back(std::move(keys));
-  }
-  order_.clear();
-  order_.reserve(static_cast<size_t>(materialized_.num_rows));
-  for (size_t c = 0; c < materialized_.chunks.size(); ++c) {
-    for (int64_t r = 0; r < materialized_.chunks[c].size; ++r) {
-      order_.emplace_back(static_cast<int64_t>(c), r);
-    }
-  }
-  std::stable_sort(order_.begin(), order_.end(),
-                   [&](const auto& a, const auto& b) {
-                     for (size_t k = 0; k < keys_.size(); ++k) {
-                       double va = key_cols[static_cast<size_t>(a.first)][k]
-                                       .GetValue(a.second)
-                                       .AsDouble();
-                       double vb = key_cols[static_cast<size_t>(b.first)][k]
-                                       .GetValue(b.second)
-                                       .AsDouble();
-                       if (va == vb) continue;
-                       bool lt = va < vb;
-                       return ascending_[k] ? lt : !lt;
-                     }
-                     return false;
-                   });
+  QueryResult rows;
+  rows.names = child_->output_names();
+  rows.types = child_->output_types();
+  INDBML_RETURN_NOT_OK(DrainAppend(child_.get(), ctx, &rows));
+  INDBML_RETURN_NOT_OK(SortRows(keys_, ascending_, std::move(rows), -1, &run_));
   cursor_ = 0;
   sorted_ = true;
   return Status::OK();
@@ -140,11 +105,18 @@ Status SortOperator::Materialize(ExecContext* ctx) {
 
 Status SortOperator::Next(ExecContext* ctx, DataChunk* out, bool* eof) {
   if (!sorted_) INDBML_RETURN_NOT_OK(Materialize(ctx));
-  while (cursor_ < order_.size() && out->size < kDefaultVectorSize) {
-    auto [c, r] = order_[cursor_++];
-    AppendRowTo(materialized_.chunks[static_cast<size_t>(c)], r, out);
+  const size_t end = std::min(run_.order.size(),
+                              cursor_ + static_cast<size_t>(kDefaultVectorSize));
+  if (cursor_ < end) {
+    std::vector<std::pair<const DataChunk*, int32_t>> rows;
+    rows.reserve(end - cursor_);
+    for (; cursor_ < end; ++cursor_) {
+      const auto [c, r] = run_.order[cursor_];
+      rows.emplace_back(&run_.rows.chunks[static_cast<size_t>(c)], r);
+    }
+    GatherRows(rows, out);
   }
-  *eof = cursor_ >= order_.size();
+  *eof = cursor_ >= run_.order.size();
   return Status::OK();
 }
 

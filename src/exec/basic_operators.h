@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/merge.h"
 #include "exec/operator.h"
 
 namespace indbml::exec {
@@ -121,7 +122,8 @@ class ChunkSourceOperator final : public Operator {
   size_t index_ = 0;
 };
 
-/// \brief ORDER BY: materialises the input and emits it sorted.
+/// \brief ORDER BY: materialises the input and emits it stably sorted
+/// (exec/merge.h SortRows; NaN sorts above every number).
 class SortOperator final : public Operator {
  public:
   /// `ascending[i]` pairs with `keys[i]`.
@@ -149,9 +151,8 @@ class SortOperator final : public Operator {
   OperatorPtr child_;
   std::vector<ExprPtr> keys_;
   std::vector<bool> ascending_;
-  QueryResult materialized_;
-  std::vector<std::pair<int64_t, int64_t>> order_;  ///< (chunk, row) in output order
-  size_t cursor_ = 0;
+  SortedRun run_;
+  size_t cursor_ = 0;  ///< next position in run_.order
   bool sorted_ = false;
 };
 

@@ -16,25 +16,15 @@ namespace {
 /// so priorities act as proportional shares (classic stride scheduling).
 constexpr int64_t kStrideUnit = 1 << 20;
 
-/// Drains an open operator tree into slot `index` of the collector.
-Status DrainInto(Operator* root, ExecContext* ctx, int64_t index,
-                 ResultCollector* collector) {
-  QueryResult batch;
-  batch.types = root->output_types();
-  INDBML_RETURN_NOT_OK(DrainAppend(root, ctx, &batch));
-  collector->Add(index, std::move(batch.chunks), batch.num_rows);
-  return Status::OK();
-}
-
 /// Runs one claimed morsel on an open operator tree: publishes the row
 /// range via `ctx`, Rewinds the plan and drains it into the morsel's slot.
 Status RunMorsel(Operator* root, ExecContext* ctx, const Morsel& morsel,
-                 ResultCollector* collector) {
+                 MorselMerge* merge) {
   ctx->morsel_begin = morsel.begin;
   ctx->morsel_end = morsel.end;
   ctx->morsel_index = morsel.index;
   INDBML_RETURN_NOT_OK(root->Rewind(ctx));
-  return DrainInto(root, ctx, morsel.index, collector);
+  return merge->Consume(morsel.index, root, ctx);
 }
 
 }  // namespace
@@ -43,9 +33,13 @@ Status RunMorsel(Operator* root, ExecContext* ctx, const Morsel& morsel,
 
 QueryHandle::QueryHandle(JobSpec spec)
     : spec_(std::move(spec)),
+      whole_plan_(spec_.morsels.empty() && spec_.merge == nullptr),
       source_(std::move(spec_.morsels)),
       // A whole-plan job drains into slot 0.
-      collector_(std::max<int64_t>(1, source_.num_morsels())) {
+      merge_(spec_.merge != nullptr
+                 ? std::move(spec_.merge)
+                 : std::make_shared<ResultCollector>(
+                       std::max<int64_t>(1, source_.num_morsels()))) {
   if (spec_.priority < 1) spec_.priority = 1;
   if (spec_.num_instances < 1 || whole_plan()) spec_.num_instances = 1;
   stride_ = kStrideUnit / spec_.priority;
@@ -64,6 +58,18 @@ void QueryHandle::Cancel() {
 bool QueryHandle::done() const {
   MutexLock lock(done_mu_);
   return done_;
+}
+
+Result<QueryResult> QueryHandle::Finish() {
+  QueryResult merged = merge_->Merge();
+  if (spec_.above_cut == nullptr) return merged;
+  trace::Span span("executor finalize above cut");
+  INDBML_ASSIGN_OR_RETURN(
+      OperatorPtr root, spec_.above_cut(std::make_shared<QueryResult>(std::move(merged))));
+  ExecContext ctx;
+  ctx.catalog = spec_.catalog;
+  ctx.interrupt = &cancelled_;
+  return DrainOperator(root.get(), &ctx);
 }
 
 Result<QueryResult> QueryHandle::Wait() {
@@ -209,19 +215,21 @@ void SharedExecutor::RunDispatch(Dispatch* d) {
       return;
     }
     slot->open_ok = true;
-    job->collector_.SetSchema(slot->op->output_names(),
-                              slot->op->output_types());
   }
   INDBML_CHECK(slot->open_ok) << "dead instance handed back out";
   Status status;
   if (job->whole_plan()) {
     trace::Span span("executor whole-plan drain");
-    status = DrainInto(slot->op.get(), &slot->ctx, 0, &job->collector_);
+    status = job->merge_->Consume(0, slot->op.get(), &slot->ctx);
   } else {
-    status = RunMorsel(slot->op.get(), &slot->ctx, d->morsel, &job->collector_);
+    status = RunMorsel(slot->op.get(), &slot->ctx, d->morsel, job->merge_.get());
   }
   if (!status.ok()) {
     job->errors_.Record(status);
+    job->source_.Abort();
+  } else if (job->merge_->Satisfied()) {
+    // A LIMIT already holds its rows: stop handing out morsels. Not an
+    // error and not a cancellation — the job finalizes normally.
     job->source_.Abort();
   }
 }
@@ -258,17 +266,26 @@ void SharedExecutor::FinalizeJob(const std::shared_ptr<QueryHandle>& job) {
       instance->op->Close(&instance->ctx);
     }
   }
-  // Free the operator trees and the plan (a per-query shared model with
-  // them) before waking the caller: whichever thread drops the last handle
-  // reference, the query's memory is released by the time Wait returns.
   job->instances_.clear();
-  job->spec_.factory = nullptr;
   Status status = job->errors_.Get();
   if (status.ok() && job->cancelled()) {
     status = Status::Cancelled("query cancelled");
   }
   QueryResult result;
-  if (status.ok()) result = job->collector_.Assemble();
+  if (status.ok()) {
+    Result<QueryResult> finished = job->Finish();
+    if (finished.ok()) {
+      result = std::move(finished).ValueOrDie();
+    } else {
+      status = finished.status();
+    }
+  }
+  // Free the partial states and the plan (a per-query shared model with
+  // them) before waking the caller: whichever thread drops the last handle
+  // reference, the query's memory is released by the time Wait returns.
+  job->merge_.reset();
+  job->spec_.factory = nullptr;
+  job->spec_.above_cut = nullptr;
   MutexLock lock(job->done_mu_);
   job->status_ = std::move(status);
   job->result_ = std::move(result);

@@ -28,11 +28,22 @@ struct JobSpec {
   /// Upper bound on concurrently running instances (the planner's worker
   /// count).
   int num_instances = 1;
-  /// The query's morsels. Empty means one dispatch that drains instance 0
-  /// end to end: a plan lowered for one worker, or a morsel-driven plan
-  /// whose morsels were all pruned (it yields the empty result with its
-  /// schema).
+  /// The query's morsels. Empty without a `merge` means one dispatch that
+  /// drains instance 0 end to end: a plan lowered for one worker, or a
+  /// morsel-driven plan whose morsels were all pruned (it yields the empty
+  /// result with its schema).
   std::vector<storage::PartitionRange> morsels;
+  /// Set for a plan cut at a pipeline breaker (sql/optimizer.h
+  /// PlanAnalysis::cut): each morsel's rows go into the breaker's partial
+  /// state (exec/merge.h) instead of the result collector, and `above_cut`
+  /// must be set too. Such a job always runs its morsels, even on one
+  /// instance, so its result does not depend on the worker count; with no
+  /// morsels it runs no instance at all, only the finalize stage.
+  std::shared_ptr<MorselMerge> merge;
+  /// The finalize stage of a cut plan: builds the operators above the cut
+  /// over a source of the merged breaker rows. Run once, by the worker that
+  /// finalizes the job after its last dispatch.
+  std::function<Result<OperatorPtr>(std::shared_ptr<QueryResult> merged)> above_cut;
   /// Stride-scheduling weight: a priority-2 query receives ~2x the morsel
   /// dispatches of a priority-1 query under contention. Clamped to >= 1.
   int priority = 1;
@@ -82,11 +93,16 @@ class QueryHandle {
   explicit QueryHandle(JobSpec spec);
 
   /// True when the job has no morsels and runs as one drain of instance 0.
-  bool whole_plan() const { return source_.num_morsels() == 0; }
+  bool whole_plan() const { return whole_plan_; }
 
-  JobSpec spec_;  ///< morsels moved out into source_
+  /// Runs the finalize stage: merges the morsel slots and, for a cut plan,
+  /// the operators above the cut.
+  Result<QueryResult> Finish();
+
+  JobSpec spec_;  ///< morsels moved out into source_, merge into merge_
+  const bool whole_plan_;
   MorselSource source_;
-  ResultCollector collector_;
+  std::shared_ptr<MorselMerge> merge_;
   FirstError errors_;
   std::atomic<bool> cancelled_{false};
 

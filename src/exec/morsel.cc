@@ -62,4 +62,37 @@ std::vector<storage::PartitionRange> MakeMorsels(
   return morsels;
 }
 
+Status ResultCollector::Consume(int64_t index, Operator* root, ExecContext* ctx) {
+  {
+    MutexLock lock(mu_);
+    if (!have_schema_) {
+      names_ = root->output_names();
+      types_ = root->output_types();
+      have_schema_ = true;
+    }
+  }
+  QueryResult batch;
+  batch.types = root->output_types();
+  INDBML_RETURN_NOT_OK(DrainAppend(root, ctx, &batch));
+  Batch& b = batches_[static_cast<size_t>(index)];
+  b.chunks = std::move(batch.chunks);
+  b.rows = batch.num_rows;
+  return Status::OK();
+}
+
+QueryResult ResultCollector::Merge() {
+  QueryResult merged;
+  {
+    MutexLock lock(mu_);
+    merged.names = names_;
+    merged.types = types_;
+  }
+  for (Batch& b : batches_) {
+    merged.num_rows += b.rows;
+    for (DataChunk& chunk : b.chunks) merged.chunks.push_back(std::move(chunk));
+    b.chunks.clear();
+  }
+  return merged;
+}
+
 }  // namespace indbml::exec

@@ -66,7 +66,8 @@ class MorselSource {
     return true;
   }
 
-  /// Stops further hand-outs (error propagation between workers).
+  /// Stops further hand-outs: a worker failed, the query was cancelled, or
+  /// a LIMIT already holds its rows (MorselMerge::Satisfied).
   void Abort() { aborted_.store(true, std::memory_order_release); }
   bool aborted() const { return aborted_.load(std::memory_order_acquire); }
 
@@ -82,50 +83,50 @@ class MorselSource {
   std::atomic<bool> aborted_{false};
 };
 
+/// \brief How a job's per-morsel outputs become its result.
+///
+/// The executor drains each claimed morsel's operator tree into
+/// Consume(morsel index), and calls Merge once after the job's last
+/// dispatch. One state slot per morsel, written only by the worker that
+/// claimed that morsel (slots are disjoint, so no per-slot locking; the
+/// executor's dispatch bookkeeping under its mutex provides the
+/// happens-before edge to Merge). Merge folds the slots in morsel-index
+/// order, so the result does not depend on which worker ran which morsel,
+/// nor on how many workers there were.
+///
+/// ResultCollector concatenates (a plan that decomposes over morsels);
+/// exec/merge.h holds the partial aggregates, sorted runs and local limits
+/// of a plan cut at a pipeline breaker.
+class MorselMerge {
+ public:
+  virtual ~MorselMerge() = default;
+
+  /// Drains the open tree `root`, already Rewound to morsel `index`, into
+  /// that morsel's slot. Called concurrently for distinct indexes.
+  virtual Status Consume(int64_t index, Operator* root, ExecContext* ctx) = 0;
+
+  /// True once the morsels consumed so far decide the result, so no further
+  /// morsel needs to run (a LIMIT whose morsel-order prefix holds its rows).
+  virtual bool Satisfied() const { return false; }
+
+  /// Folds every slot in morsel-index order into the rows of the result.
+  /// Call once, after the last Consume returned (consumes the slots).
+  virtual QueryResult Merge() = 0;
+};
+
 /// \brief Reassembles per-morsel output batches into global row order.
 ///
-/// One slot per morsel, written by exactly the worker that claimed that
-/// morsel (slots are disjoint, so no per-slot locking; the executor's
-/// dispatch bookkeeping under its mutex provides the happens-before edge to
-/// Assemble). The result
-/// schema is recorded once, first worker wins.
-class ResultCollector {
+/// The result schema is recorded once, from the first consumed tree.
+class ResultCollector final : public MorselMerge {
  public:
   explicit ResultCollector(int64_t num_morsels)
       : batches_(static_cast<size_t>(num_morsels)) {}
 
-  void SetSchema(const std::vector<std::string>& names,
-                 const std::vector<DataType>& types) INDBML_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (have_schema_) return;
-    names_ = names;
-    types_ = types;
-    have_schema_ = true;
-  }
+  Status Consume(int64_t index, Operator* root, ExecContext* ctx) override
+      INDBML_EXCLUDES(mu_);
 
-  /// Records the output of morsel `index`. Called at most once per index.
-  void Add(int64_t index, std::vector<DataChunk> chunks, int64_t rows) {
-    Batch& b = batches_[static_cast<size_t>(index)];
-    b.chunks = std::move(chunks);
-    b.rows = rows;
-  }
-
-  /// Concatenates all batches in morsel order. Call only after all workers
-  /// finished (consumes the batches).
-  QueryResult Assemble() INDBML_EXCLUDES(mu_) {
-    QueryResult merged;
-    {
-      MutexLock lock(mu_);
-      merged.names = names_;
-      merged.types = types_;
-    }
-    for (Batch& b : batches_) {
-      merged.num_rows += b.rows;
-      for (DataChunk& chunk : b.chunks) merged.chunks.push_back(std::move(chunk));
-      b.chunks.clear();
-    }
-    return merged;
-  }
+  /// Concatenates all batches in morsel order.
+  QueryResult Merge() override INDBML_EXCLUDES(mu_);
 
  private:
   struct Batch {
@@ -133,10 +134,7 @@ class ResultCollector {
     int64_t rows = 0;
   };
 
-  /// Deliberately *not* guarded: slot `i` is written only by the single
-  /// worker that claimed morsel `i` (slots are disjoint), and Assemble runs
-  /// after every dispatch of the query retired under the executor's mutex,
-  /// which provides the happens-before edge.
+  /// Deliberately *not* guarded: see MorselMerge.
   std::vector<Batch> batches_;
   Mutex mu_;
   bool have_schema_ INDBML_GUARDED_BY(mu_) = false;

@@ -119,11 +119,18 @@ Status InferenceBatcher::Submit(const std::shared_ptr<SharedModel>& model,
                                 const InferenceOptions& opts,
                                 const std::atomic<bool>* interrupt,
                                 InferenceCallStats* stats) {
+  if (opts.batch_window_us <= 0 || n >= model->vector_size()) {
+    // Batching off, or a full vector: the runtime runs in vector_size()
+    // blocks anyway, so coalescing a full chunk with others gains nothing
+    // and would only make the workers feeding it sleep. Run it inline
+    // without counting as a batch partner.
+    return RunInline(*model, in, n, out, stats);
+  }
   active_calls_.fetch_add(1, std::memory_order_acq_rel);
   ActiveGuard guard{active_calls_};
 
-  // Inline fast path: batching disabled, or no batch partner is plausible —
-  // waiting out the window would then be pure added latency. Partners are
+  // Inline fast path: no batch partner is plausible — waiting out the
+  // window would then be pure added latency. Partners are
   // plausible when another call is inside the batcher right now, or when
   // any call against this model arrived within the last window. The second
   // signal is what bootstraps coalescing on few-core machines: concurrent
@@ -133,9 +140,8 @@ Status InferenceBatcher::Submit(const std::shared_ptr<SharedModel>& model,
   // futile (the window expires with no follower), recency is distrusted for
   // the model until real overlap is observed again, so a lone stream of
   // back-to-back calls pays at most one wasted window.
-  bool partners_likely = opts.batch_window_us > 0;
-  if (partners_likely &&
-      active_calls_.load(std::memory_order_acquire) <= 1) {
+  bool partners_likely = true;
+  if (active_calls_.load(std::memory_order_acquire) <= 1) {
     MutexLock lock(mu_);
     const int64_t now = MonotonicMicros();
     if (arrivals_.size() > kMaxArrivalEntries) {
@@ -149,18 +155,13 @@ Status InferenceBatcher::Submit(const std::shared_ptr<SharedModel>& model,
     partners_likely = arrival.last_micros != 0 && !arrival.futile &&
                       now - arrival.last_micros <= opts.batch_window_us;
     arrival.last_micros = now;
-  } else if (partners_likely) {
+  } else {
     MutexLock lock(mu_);
     ArrivalState& arrival = arrivals_[model->model_id()];
     arrival.last_micros = MonotonicMicros();
     arrival.futile = false;  // overlap observed: recency is trustworthy
   }
-  if (!partners_likely) {
-    batches_metric_->Increment(1);
-    batch_rows_metric_->Record(n);
-    if (stats != nullptr) stats->batch_rows += n;
-    return InferenceRuntime::Global().Run(*model, in, n, out);
-  }
+  if (!partners_likely) return RunInline(*model, in, n, out, stats);
 
   Request req;
   req.in = in;
@@ -313,6 +314,14 @@ Status InferenceBatcher::Submit(const std::shared_ptr<SharedModel>& model,
     live_.erase(std::find(live_.begin(), live_.end(), batch));
   }
   return run_status;
+}
+
+Status InferenceBatcher::RunInline(const SharedModel& model, const float* in, int64_t n,
+                                   float* out, InferenceCallStats* stats) {
+  batches_metric_->Increment(1);
+  batch_rows_metric_->Record(n);
+  if (stats != nullptr) stats->batch_rows += n;
+  return InferenceRuntime::Global().Run(model, in, n, out);
 }
 
 void InferenceBatcher::KickWaiters() {

@@ -53,7 +53,11 @@ struct InferenceCallStats {
 /// a borrowed caller thread, so the shared executor's workers keep
 /// scheduling other morsels while at most one of them waits per model.
 ///
-/// A call leads (or joins) only when a batch partner is plausible: another
+/// A call of at least one full vector (SharedModel::vector_size() rows)
+/// always runs inline: the runtime blocks at that size anyway, so only
+/// partial chunks (filtered or tail morsel rows) gain from coalescing.
+///
+/// A smaller call leads (or joins) only when a batch partner is plausible: another
 /// call is inside the batcher right now, or a call against the same model
 /// arrived within the last window and leading has not recently proven
 /// futile (window waited out with no follower). Otherwise it runs inline —
@@ -124,6 +128,10 @@ class InferenceBatcher {
     std::vector<float> combined;
     std::vector<float> combined_out;
   };
+
+  /// One uncoalesced launch of the caller's rows.
+  Status RunInline(const SharedModel& model, const float* in, int64_t n, float* out,
+                   InferenceCallStats* stats);
 
   /// The coalescing core: joins or leads a batch for the given rows.
   Status Submit(const std::shared_ptr<SharedModel>& model, const float* in,

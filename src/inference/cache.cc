@@ -1,6 +1,7 @@
 #include "inference/cache.h"
 
 #include <cstring>
+#include <functional>
 
 namespace indbml::inference {
 
@@ -12,47 +13,95 @@ InferenceCache& InferenceCache::Global() {
 InferenceCache::InferenceCache()
     : hits_metric_(metrics::Registry::Global().counter("inference.cache_hits")),
       misses_metric_(
-          metrics::Registry::Global().counter("inference.cache_misses")) {}
+          metrics::Registry::Global().counter("inference.cache_misses")) {
+  set_capacity_bytes(capacity_bytes_.load());
+}
+
+int64_t InferenceCache::ShareOf(int64_t capacity, int s) {
+  if (capacity <= 0) return 0;
+  return capacity / kShards + (s < capacity % kShards ? 1 : 0);
+}
 
 void InferenceCache::set_capacity_bytes(int64_t bytes) {
-  MutexLock lock(mu_);
-  capacity_bytes_ = bytes;
-  EvictToCapacity();
-}
-
-int64_t InferenceCache::capacity_bytes() const {
-  MutexLock lock(mu_);
-  return capacity_bytes_;
-}
-
-std::string InferenceCache::MakeKey(int64_t model_id, const float* in,
-                                    int64_t n, int64_t d, int64_t row) {
-  // model id bytes followed by the tuple's d feature floats, byte-exact.
-  // The features sit strided in the feature-major matrix (column `row`).
-  std::string key(sizeof(model_id) + static_cast<size_t>(d) * sizeof(float),
-                  '\0');
-  std::memcpy(key.data(), &model_id, sizeof(model_id));
-  char* p = key.data() + sizeof(model_id);
-  for (int64_t f = 0; f < d; ++f) {
-    std::memcpy(p + f * sizeof(float), in + f * n + row, sizeof(float));
+  capacity_bytes_.store(bytes, std::memory_order_release);
+  for (int s = 0; s < kShards; ++s) {
+    Shard& shard = shards_[static_cast<size_t>(s)];
+    MutexLock lock(shard.mu);
+    shard.capacity = ShareOf(bytes, s);
+    shard.EvictToCapacity();
   }
-  return key;
+}
+
+void InferenceCache::MakeKeys(int64_t model_id, const float* in, int64_t n, int64_t d,
+                              KeyBatch* batch) {
+  // Each key is the model id bytes followed by the tuple's d feature floats,
+  // byte-exact. The features sit strided in the feature-major matrix
+  // (column j).
+  const size_t key_size = sizeof(model_id) + static_cast<size_t>(d) * sizeof(float);
+  batch->key_size = key_size;
+  batch->bytes.resize(static_cast<size_t>(n) * key_size);
+  for (int64_t j = 0; j < n; ++j) {
+    std::memcpy(batch->bytes.data() + static_cast<size_t>(j) * key_size, &model_id,
+                sizeof(model_id));
+  }
+  for (int64_t f = 0; f < d; ++f) {
+    const float* feature = in + f * n;
+    const size_t offset = sizeof(model_id) + static_cast<size_t>(f) * sizeof(float);
+    for (int64_t j = 0; j < n; ++j) {
+      std::memcpy(batch->bytes.data() + static_cast<size_t>(j) * key_size + offset,
+                  feature + j, sizeof(float));
+    }
+  }
+  // Group the rows by shard (a counting sort), keeping row order per shard.
+  batch->hashes.resize(static_cast<size_t>(n));
+  std::array<int32_t, kShards> counts{};
+  std::vector<uint8_t> shard_of(static_cast<size_t>(n));
+  for (int64_t j = 0; j < n; ++j) {
+    const uint64_t h = std::hash<std::string_view>()(batch->key(j));
+    batch->hashes[static_cast<size_t>(j)] = h;
+    // The map buckets on the hash's low bits; shard on its high bits.
+    const uint8_t s = static_cast<uint8_t>((h >> 56) % kShards);
+    shard_of[static_cast<size_t>(j)] = s;
+    ++counts[s];
+  }
+  batch->shard_begin[0] = 0;
+  for (int s = 0; s < kShards; ++s) {
+    batch->shard_begin[static_cast<size_t>(s + 1)] =
+        batch->shard_begin[static_cast<size_t>(s)] + counts[static_cast<size_t>(s)];
+  }
+  std::array<int32_t, kShards> fill{};
+  batch->rows.resize(static_cast<size_t>(n));
+  for (int64_t j = 0; j < n; ++j) {
+    const uint8_t s = shard_of[static_cast<size_t>(j)];
+    batch->rows[static_cast<size_t>(batch->shard_begin[s] + fill[s]++)] =
+        static_cast<int32_t>(j);
+  }
 }
 
 int64_t InferenceCache::Lookup(int64_t model_id, const float* in, int64_t n,
                                int64_t d, int64_t o, float* out,
                                std::vector<char>* hits) {
   int64_t hit_count = 0;
-  {
-    MutexLock lock(mu_);
-    if (capacity_bytes_ > 0) {
-      for (int64_t j = 0; j < n; ++j) {
-        auto it = index_.find(MakeKey(model_id, in, n, d, j));
-        if (it == index_.end()) continue;
-        lru_.splice(lru_.begin(), lru_, it->second);
-        const std::vector<float>& values = it->second->values;
-        for (int64_t p = 0; p < o; ++p) out[p * n + j] = values[p];
-        (*hits)[j] = 1;
+  if (capacity_bytes() > 0 && n > 0) {
+    KeyBatch batch;
+    MakeKeys(model_id, in, n, d, &batch);
+    for (int s = 0; s < kShards; ++s) {
+      const int32_t begin = batch.shard_begin[static_cast<size_t>(s)];
+      const int32_t end = batch.shard_begin[static_cast<size_t>(s + 1)];
+      if (begin == end) continue;
+      Shard& shard = shards_[static_cast<size_t>(s)];
+      MutexLock lock(shard.mu);
+      for (int32_t i = begin; i < end; ++i) {
+        const int64_t j = batch.rows[static_cast<size_t>(i)];
+        auto it = shard.index.find(batch.key(j));
+        if (it == shard.index.end()) continue;
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        const Entry& entry = *it->second;
+        const char* values = entry.blob.data() + entry.key_size;
+        for (int64_t p = 0; p < o; ++p) {
+          std::memcpy(&out[p * n + j], values + p * sizeof(float), sizeof(float));
+        }
+        (*hits)[static_cast<size_t>(j)] = 1;
         ++hit_count;
       }
     }
@@ -64,65 +113,83 @@ int64_t InferenceCache::Lookup(int64_t model_id, const float* in, int64_t n,
 
 void InferenceCache::Insert(int64_t model_id, const float* in, int64_t n,
                             int64_t d, int64_t o, const float* results) {
-  MutexLock lock(mu_);
-  if (capacity_bytes_ <= 0) return;
-  for (int64_t j = 0; j < n; ++j) {
-    std::string key = MakeKey(model_id, in, n, d, j);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      // Deterministic runtime: the value cannot have changed; refresh LRU.
-      lru_.splice(lru_.begin(), lru_, it->second);
-      continue;
+  if (capacity_bytes() <= 0 || n <= 0) return;
+  KeyBatch batch;
+  MakeKeys(model_id, in, n, d, &batch);
+  for (int s = 0; s < kShards; ++s) {
+    const int32_t begin = batch.shard_begin[static_cast<size_t>(s)];
+    const int32_t end = batch.shard_begin[static_cast<size_t>(s + 1)];
+    if (begin == end) continue;
+    Shard& shard = shards_[static_cast<size_t>(s)];
+    MutexLock lock(shard.mu);
+    if (shard.capacity <= 0) continue;
+    for (int32_t i = begin; i < end; ++i) {
+      const int64_t j = batch.rows[static_cast<size_t>(i)];
+      const std::string_view key = batch.key(j);
+      auto it = shard.index.find(key);
+      if (it != shard.index.end()) {
+        // Deterministic runtime: the value cannot have changed; refresh LRU.
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        continue;
+      }
+      Entry entry;
+      entry.key_size = key.size();
+      entry.blob.resize(key.size() + static_cast<size_t>(o) * sizeof(float));
+      std::memcpy(entry.blob.data(), key.data(), key.size());
+      for (int64_t p = 0; p < o; ++p) {
+        std::memcpy(entry.blob.data() + key.size() + p * sizeof(float),
+                    &results[p * n + j], sizeof(float));
+      }
+      shard.bytes += static_cast<int64_t>(entry.blob.size());
+      shard.lru.push_front(std::move(entry));
+      shard.index.emplace(shard.lru.front().key(), shard.lru.begin());
     }
-    Entry entry;
-    entry.values.resize(static_cast<size_t>(o));
-    for (int64_t p = 0; p < o; ++p) entry.values[p] = results[p * n + j];
-    bytes_ += static_cast<int64_t>(key.size() + entry.values.size() * sizeof(float));
-    entry.key = key;
-    lru_.push_front(std::move(entry));
-    index_.emplace(std::move(key), lru_.begin());
+    shard.EvictToCapacity();
   }
-  EvictToCapacity();
 }
 
-void InferenceCache::EvictToCapacity() {
-  while (bytes_ > capacity_bytes_ && !lru_.empty()) {
-    const Entry& victim = lru_.back();
-    bytes_ -= static_cast<int64_t>(victim.key.size() +
-                                   victim.values.size() * sizeof(float));
-    index_.erase(victim.key);
-    lru_.pop_back();
+void InferenceCache::Shard::EvictToCapacity() {
+  while (bytes > capacity && !lru.empty()) {
+    const Entry& victim = lru.back();
+    bytes -= static_cast<int64_t>(victim.blob.size());
+    index.erase(victim.key());
+    lru.pop_back();
   }
 }
 
 void InferenceCache::InvalidateModel(int64_t model_id) {
-  MutexLock lock(mu_);
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    int64_t id;
-    std::memcpy(&id, it->key.data(), sizeof(id));
-    if (id == model_id) {
-      bytes_ -= static_cast<int64_t>(it->key.size() +
-                                     it->values.size() * sizeof(float));
-      index_.erase(it->key);
-      it = lru_.erase(it);
-    } else {
-      ++it;
+  for (Shard& shard : shards_) {
+    MutexLock lock(shard.mu);
+    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
+      int64_t id;
+      std::memcpy(&id, it->blob.data(), sizeof(id));
+      if (id == model_id) {
+        shard.bytes -= static_cast<int64_t>(it->blob.size());
+        shard.index.erase(it->key());
+        it = shard.lru.erase(it);
+      } else {
+        ++it;
+      }
     }
   }
 }
 
 void InferenceCache::Clear() {
-  MutexLock lock(mu_);
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
+  for (Shard& shard : shards_) {
+    MutexLock lock(shard.mu);
+    shard.index.clear();
+    shard.lru.clear();
+    shard.bytes = 0;
+  }
 }
 
 InferenceCache::Stats InferenceCache::GetStats() const {
-  MutexLock lock(mu_);
   Stats stats;
-  stats.entries = static_cast<int64_t>(lru_.size());
-  stats.bytes = bytes_;
+  for (const Shard& shard : shards_) {
+    MutexLock lock(shard.mu);
+    stats.entries += static_cast<int64_t>(shard.lru.size());
+    stats.bytes += shard.bytes;
+  }
   return stats;
 }
 

@@ -10,14 +10,15 @@ using nn::LayerMeta;
 
 struct InferenceRuntime::Scratch {
   device::Device* device = nullptr;
-  int64_t vs = 0;
+  int64_t vs = 0;     ///< the model's vector size (row stride of bias matrices)
+  int64_t block = 0;  ///< rows per forward block (BlockRows)
   int64_t input_width = 0;
   int64_t max_units = 0;
   bool has_lstm = false;
 
-  float* x = nullptr;        ///< [input_width x vs]
-  float* a = nullptr;        ///< [max_units x vs]
-  float* b = nullptr;        ///< [max_units x vs]
+  float* x = nullptr;        ///< [input_width x block]
+  float* a = nullptr;        ///< [max_units x block]
+  float* b = nullptr;        ///< [max_units x block]
   float* z[nn::kNumGates] = {nullptr, nullptr, nullptr, nullptr};
   float* h = nullptr;
   float* c = nullptr;
@@ -25,14 +26,14 @@ struct InferenceRuntime::Scratch {
 
   ~Scratch() {
     if (device == nullptr) return;
-    device->Free(x, input_width * vs);
-    device->Free(a, max_units * vs);
-    device->Free(b, max_units * vs);
+    device->Free(x, input_width * block);
+    device->Free(a, max_units * block);
+    device->Free(b, max_units * block);
     if (has_lstm) {
-      for (auto& g : z) device->Free(g, max_units * vs);
-      device->Free(h, max_units * vs);
-      device->Free(c, max_units * vs);
-      device->Free(tmp, max_units * vs);
+      for (auto& g : z) device->Free(g, max_units * block);
+      device->Free(h, max_units * block);
+      device->Free(c, max_units * block);
+      device->Free(tmp, max_units * block);
     }
   }
 };
@@ -47,6 +48,24 @@ InferenceRuntime::InferenceRuntime()
       rows_metric_(metrics::Registry::Global().counter("inference.rows")) {}
 
 InferenceRuntime::~InferenceRuntime() = default;
+
+namespace {
+
+/// Rows per forward block on the host CPU: the activations of one block
+/// (input plus two ping-pong buffers of the widest layer) then stay in the
+/// core's L2, and each concurrently running worker holds a quarter of the
+/// scratch a full 1024-row vector needs. Every kernel is column-independent,
+/// so the block size never changes a result bit.
+constexpr int64_t kHostBlockRows = 256;
+
+/// The simulated GPU keeps full-vector blocks: its modeled cost is per
+/// launch and per transfer, as in the paper's setup.
+int64_t BlockRows(const SharedModel& model) {
+  const int64_t vs = model.vector_size();
+  return model.device()->is_gpu() ? vs : std::min<int64_t>(vs, kHostBlockRows);
+}
+
+}  // namespace
 
 std::unique_ptr<InferenceRuntime::Scratch> InferenceRuntime::AcquireScratch(
     const SharedModel& model) {
@@ -63,6 +82,7 @@ std::unique_ptr<InferenceRuntime::Scratch> InferenceRuntime::AcquireScratch(
     for (size_t i = 0; i < pool_.size(); ++i) {
       Scratch* s = pool_[i].get();
       if (s->device == model.device() && s->vs == model.vector_size() &&
+          s->block == BlockRows(model) &&
           s->input_width >= input_width && s->max_units >= max_units &&
           (s->has_lstm || !has_lstm)) {
         std::unique_ptr<Scratch> out = std::move(pool_[i]);
@@ -74,18 +94,19 @@ std::unique_ptr<InferenceRuntime::Scratch> InferenceRuntime::AcquireScratch(
   auto s = std::make_unique<Scratch>();
   s->device = model.device();
   s->vs = model.vector_size();
+  s->block = BlockRows(model);
   s->input_width = input_width;
   s->max_units = max_units;
   s->has_lstm = has_lstm;
   device::Device* device = s->device;
-  s->x = device->Allocate(s->input_width * s->vs);
-  s->a = device->Allocate(max_units * s->vs);
-  s->b = device->Allocate(max_units * s->vs);
+  s->x = device->Allocate(s->input_width * s->block);
+  s->a = device->Allocate(max_units * s->block);
+  s->b = device->Allocate(max_units * s->block);
   if (has_lstm) {
-    for (auto& g : s->z) g = device->Allocate(max_units * s->vs);
-    s->h = device->Allocate(max_units * s->vs);
-    s->c = device->Allocate(max_units * s->vs);
-    s->tmp = device->Allocate(max_units * s->vs);
+    for (auto& g : s->z) g = device->Allocate(max_units * s->block);
+    s->h = device->Allocate(max_units * s->block);
+    s->c = device->Allocate(max_units * s->block);
+    s->tmp = device->Allocate(max_units * s->block);
   }
   return s;
 }
@@ -259,15 +280,14 @@ Status InferenceRuntime::Run(const SharedModel& model, const float* input,
   const nn::ModelMeta& meta = model.meta();
   const int64_t d = meta.input_width();
   const int64_t o = meta.output_dim();
-  const int64_t vs = model.vector_size();
   std::unique_ptr<Scratch> s = AcquireScratch(model);
+  const int64_t block = s->block;
   device::Device* device = s->device;
 
-  // Blocked execution at the model's vector size: each block is the exact
-  // chunk-sized forward pass of the original operator, so results are
-  // bit-identical no matter how callers slice `n`.
-  for (int64_t j0 = 0; j0 < n; j0 += vs) {
-    const int64_t bn = std::min<int64_t>(vs, n - j0);
+  // Blocked execution: every kernel is column-independent, so results are
+  // bit-identical no matter how callers slice `n` or how it is blocked.
+  for (int64_t j0 = 0; j0 < n; j0 += block) {
+    const int64_t bn = std::min<int64_t>(block, n - j0);
     for (int64_t f = 0; f < d; ++f) {
       device->CopyToDevice(s->x + f * bn, input + f * n + j0, bn);
     }

@@ -62,7 +62,7 @@ class InferenceRuntime {
       INDBML_EXCLUDES(mu_);
   void ReleaseScratch(std::unique_ptr<Scratch> scratch) INDBML_EXCLUDES(mu_);
 
-  /// One ≤vector_size block on the device. `x` is the device input matrix
+  /// One block (≤ the scratch's block rows) on the device. `x` is the device input matrix
   /// [input_width x n]; `*result` points at the scratch buffer holding the
   /// final [output_dim x n] activations.
   Status Infer(const SharedModel& model, Scratch* s, const float* x, int64_t n,

@@ -1,5 +1,6 @@
 #include "server/session.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/metrics.h"
@@ -60,10 +61,13 @@ Result<std::shared_ptr<QueryHandle>> Session::SubmitPlan(
   exec::SharedExecutor* executor = server_->executor();
   // The job may outlive this call (non-blocking submit): its factory keeps
   // the planner and the cached logical plan alive until the query finishes.
+  // The session's worker_threads caps the query's instances; the shared
+  // executor's thread count caps them again.
+  const int workers =
+      std::min(executor->num_threads(), sql::QueryEngine::WorkersFor(opts));
   INDBML_ASSIGN_OR_RETURN(
       exec::JobSpec spec,
-      server_->engine()->PrepareJob(std::move(plan), opts,
-                                    executor->num_threads(), nullptr));
+      server_->engine()->PrepareJob(std::move(plan), opts, workers, nullptr));
   spec.priority = priority;
   spec.on_cancel = [] {
     // A worker blocked inside the inference batcher's coalescing wait is

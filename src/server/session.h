@@ -25,7 +25,8 @@ using exec::QueryHandle;
 /// contract. Submission is non-blocking: Submit returns a QueryHandle
 /// immediately (admission permitting) and the shared executor interleaves
 /// the query's morsels with every other in-flight query; Cancel on the
-/// handle aborts the query's morsel source mid-flight.
+/// handle aborts the query's morsel source mid-flight. A query runs on at
+/// most min(executor threads, the session's `worker_threads`) instances.
 ///
 /// Thread-safe; typically used one per client thread.
 class Session {

@@ -561,36 +561,82 @@ Result<LogicalOpPtr> Optimizer::Optimize(LogicalOpPtr plan) {
   return plan;
 }
 
+namespace {
+
+const char* BreakerName(LogicalKind kind) {
+  switch (kind) {
+    case LogicalKind::kAggregate:
+      return "Aggregate";
+    case LogicalKind::kSort:
+      return "Sort";
+    case LogicalKind::kLimit:
+      return "Limit";
+    default:
+      return "?";
+  }
+}
+
+}  // namespace
+
+std::string PlanAnalysis::Describe() const {
+  if (!parallel_safe) return "serial: " + serial_reason;
+  if (cut == nullptr) return "parallel";
+  return std::string("parallel, merge at ") + BreakerName(cut->kind);
+}
+
 PlanAnalysis Optimizer::Analyze(const LogicalOp& plan) const {
   PlanAnalysis analysis;
 
   // The partitioned table is the one scanned by the leftmost-deepest leaf
   // (the fact table in the generated ModelJoin queries). Every scan of that
-  // table — it may appear on several join branches, e.g. the LSTM kernel and
-  // recurrent paths — is partitioned identically, so id-equijoins between
-  // branches stay partition-aligned.
+  // table below the cut — it may appear on several join branches, e.g. the
+  // LSTM kernel and recurrent paths — is partitioned identically, so
+  // id-equijoins between branches stay partition-aligned.
   const LogicalOp* leaf = &plan;
   while (!leaf->children.empty()) leaf = leaf->children[0].get();
   if (leaf->kind != LogicalKind::kScan) {
-    analysis.parallel_safe = false;
+    analysis.serial_reason = "no table scan at the leftmost leaf to partition";
     return analysis;
   }
   analysis.partitioned_table = leaf->table.get();
   analysis.partition_predicates = leaf->pushed;
 
-  // Partition-property propagation over the whole tree. `has` marks a
-  // subtree containing a partitioned scan; `col` is the binding id of the
-  // partition (unique-id) column in the subtree's output, or -1 if it was
-  // projected away.
+  // Partition-property propagation, bottom-up. `has` marks a subtree
+  // containing a partitioned scan; `col` is the binding id of the partition
+  // (unique-id) column in the subtree's output, or -1 if it was projected
+  // away; `cut` marks a subtree holding the plan's cut, above which
+  // everything runs once over merged rows and needs no partition property.
   struct PInfo {
     bool has = false;
     int64_t col = -1;
+    bool cut = false;
   };
   struct Walker {
     const storage::Table* target;
-    bool safe = true;
+    const LogicalOp* cut = nullptr;
+    std::string reason;  ///< first property no merge can repair
 
-    PInfo Walk(const LogicalOp* op) {
+    void Fail(std::string why) {
+      if (reason.empty()) reason = std::move(why);
+    }
+
+    /// `op` is a breaker whose output does not decompose over partitions.
+    /// On the leftmost path over a subtree that decomposes it becomes the
+    /// cut; elsewhere its per-morsel output would have to be merged before
+    /// a join that runs per morsel, which one cut per plan cannot do.
+    PInfo Break(const LogicalOp* op, bool leftmost, PInfo info) {
+      if (!leftmost) {
+        Fail(std::string(BreakerName(op->kind)) +
+             " over the partitioned table on a join's build side");
+        return info;
+      }
+      if (!reason.empty()) return info;  // the subtree below is serial
+      cut = op;
+      info.cut = true;
+      return info;
+    }
+
+    PInfo Walk(const LogicalOp* op, bool leftmost) {
       switch (op->kind) {
         case LogicalKind::kScan: {
           PInfo info;
@@ -609,15 +655,15 @@ PlanAnalysis Optimizer::Analyze(const LogicalOp& plan) const {
         }
         case LogicalKind::kFilter:
         case LogicalKind::kModelJoin:
-          return Walk(op->children[0].get());
+          return Walk(op->children[0].get(), leftmost);
         case LogicalKind::kLimit: {
-          PInfo info = Walk(op->children[0].get());
-          if (info.has) safe = false;  // global LIMIT does not decompose
-          return info;
+          PInfo info = Walk(op->children[0].get(), leftmost);
+          if (info.cut || !info.has) return info;
+          return Break(op, leftmost, info);  // a global LIMIT
         }
         case LogicalKind::kProject: {
-          PInfo info = Walk(op->children[0].get());
-          if (!info.has || info.col < 0) return info;
+          PInfo info = Walk(op->children[0].get(), leftmost);
+          if (info.cut || !info.has || info.col < 0) return info;
           int64_t mapped = -1;
           for (size_t i = 0; i < op->exprs.size(); ++i) {
             if (op->exprs[i]->kind == ExprKind::kColumnRef &&
@@ -630,8 +676,9 @@ PlanAnalysis Optimizer::Analyze(const LogicalOp& plan) const {
           return info;
         }
         case LogicalKind::kHashJoin: {
-          PInfo l = Walk(op->children[0].get());
-          PInfo r = Walk(op->children[1].get());
+          PInfo l = Walk(op->children[0].get(), leftmost);
+          if (l.cut) return l;
+          PInfo r = Walk(op->children[1].get(), false);
           if (l.has && r.has) {
             // Both branches are partitioned: a join key must align them on
             // the partition column or partition-crossing matches get lost.
@@ -645,7 +692,9 @@ PlanAnalysis Optimizer::Analyze(const LogicalOp& plan) const {
                 break;
               }
             }
-            if (!aligned) safe = false;
+            if (!aligned) {
+              Fail("join of two partitioned branches not aligned on the partition column");
+            }
             return l;
           }
           if (l.has) return l;
@@ -653,30 +702,31 @@ PlanAnalysis Optimizer::Analyze(const LogicalOp& plan) const {
           return {};
         }
         case LogicalKind::kCrossJoin: {
-          PInfo l = Walk(op->children[0].get());
-          PInfo r = Walk(op->children[1].get());
+          PInfo l = Walk(op->children[0].get(), leftmost);
+          if (l.cut) return l;
+          PInfo r = Walk(op->children[1].get(), false);
           if (l.has && r.has) {
-            safe = false;  // partitioned x partitioned loses cross pairs
+            Fail("cross join of two partitioned branches");
             return l;
           }
           return l.has ? l : r;
         }
         case LogicalKind::kSort: {
-          PInfo info = Walk(op->children[0].get());
-          if (!info.has) return info;
+          PInfo info = Walk(op->children[0].get(), leftmost);
+          if (info.cut || !info.has) return info;
           // Concatenating per-partition results is only a global sort when
           // the leading key is the (ascending) partition column.
           if (op->sort_keys.empty() ||
               op->sort_keys[0]->kind != ExprKind::kColumnRef ||
               op->sort_keys[0]->column_id != info.col || info.col < 0 ||
               !op->ascending[0]) {
-            safe = false;
+            return Break(op, leftmost, info);
           }
           return info;
         }
         case LogicalKind::kAggregate: {
-          PInfo info = Walk(op->children[0].get());
-          if (!info.has) return info;
+          PInfo info = Walk(op->children[0].get(), leftmost);
+          if (info.cut || !info.has) return info;
           for (size_t g = 0; g < op->groups.size(); ++g) {
             if (op->groups[g]->kind == ExprKind::kColumnRef &&
                 op->groups[g]->column_id == info.col && info.col >= 0) {
@@ -684,18 +734,25 @@ PlanAnalysis Optimizer::Analyze(const LogicalOp& plan) const {
               return info;
             }
           }
-          safe = false;  // groups may span partitions
-          return info;
+          return Break(op, leftmost, info);  // groups may span partitions
         }
       }
       return {};
     }
   };
-  Walker walker{analysis.partitioned_table};
-  PInfo root = walker.Walk(&plan);
-  // A root without partition property would emit identical copies from
-  // every partition.
-  analysis.parallel_safe = walker.safe && root.has;
+  Walker walker{analysis.partitioned_table, nullptr, {}};
+  PInfo root = walker.Walk(&plan, true);
+  if (walker.cut != nullptr) {
+    analysis.parallel_safe = true;
+    analysis.cut = walker.cut;
+  } else if (!walker.reason.empty()) {
+    analysis.serial_reason = walker.reason;
+  } else if (!root.has) {
+    // Every partition would emit an identical copy of the root's rows.
+    analysis.serial_reason = "the plan's output does not come from the partitioned scan";
+  } else {
+    analysis.parallel_safe = true;
+  }
   return analysis;
 }
 

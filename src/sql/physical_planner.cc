@@ -9,6 +9,7 @@
 #include "exec/basic_operators.h"
 #include "exec/fused_scan.h"
 #include "exec/join.h"
+#include "exec/merge.h"
 #include "exec/scan.h"
 #include "exec/validate.h"
 
@@ -75,6 +76,39 @@ bool MayCarryNonFinite(const LogicalOp& node) {
   return false;
 }
 
+/// The parent of `child` in the tree under `node`, or null.
+const LogicalOp* ParentOf(const LogicalOp& node, const LogicalOp* child) {
+  for (const auto& c : node.children) {
+    if (c.get() == child) return &node;
+    if (const LogicalOp* found = ParentOf(*c, child)) return found;
+  }
+  return nullptr;
+}
+
+/// Lowers an aggregate's group keys and aggregate specs onto its child's
+/// chunk positions.
+Status LowerAggregate(const LogicalOp& node, std::vector<ExprPtr>* groups,
+                      std::vector<std::string>* group_names,
+                      std::vector<exec::AggregateSpec>* aggs) {
+  auto mapping = PositionMap(node.children[0]->outputs);
+  for (size_t g = 0; g < node.groups.size(); ++g) {
+    INDBML_ASSIGN_OR_RETURN(auto e, Remap(*node.groups[g], mapping));
+    groups->push_back(std::move(e));
+    group_names->push_back(node.outputs[g].name);
+  }
+  for (const auto& a : node.aggregates) {
+    exec::AggregateSpec spec;
+    spec.function = a.function;
+    spec.result_type = a.result_type;
+    spec.name = a.name;
+    if (a.argument) {
+      INDBML_ASSIGN_OR_RETURN(spec.argument, Remap(*a.argument, mapping));
+    }
+    aggs->push_back(std::move(spec));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 PhysicalPlanner::PhysicalPlanner(const LogicalOp* plan, const PlanAnalysis& analysis,
@@ -86,14 +120,24 @@ PhysicalPlanner::PhysicalPlanner(const LogicalOp* plan, const PlanAnalysis& anal
     : plan_(plan),
       analysis_(analysis),
       num_workers_(analysis.parallel_safe ? std::max(1, requested_workers) : 1),
+      // A cut plan runs its morsels even on one worker: its float sums and
+      // group order then match any other worker count bit for bit.
+      morsel_driven_(analysis.cut != nullptr || num_workers_ > 1),
       shared_models_(shared_models),
       inference_(inference),
       state_factory_(std::move(state_factory)),
       operator_factory_(std::move(operator_factory)),
-      profile_(profile) {}
+      profile_(profile) {
+  if (analysis_.cut != nullptr && analysis_.cut->kind == LogicalKind::kSort) {
+    const LogicalOp* parent = ParentOf(*plan_, analysis_.cut);
+    if (parent != nullptr && parent->kind == LogicalKind::kLimit) {
+      limit_above_sort_cut_ = parent;
+    }
+  }
+}
 
-bool PhysicalPlanner::MorselBound(const storage::TablePtr& table) const {
-  return num_workers_ > 1 && table.get() == analysis_.partitioned_table;
+bool PhysicalPlanner::MorselBound(const storage::TablePtr& table, bool above_cut) const {
+  return morsel_driven_ && !above_cut && table.get() == analysis_.partitioned_table;
 }
 
 void PhysicalPlanner::RegisterProfileNodes(const LogicalOp& node, int depth) {
@@ -136,10 +180,57 @@ Status PhysicalPlanner::Prepare() {
   return visitor.Visit(*plan_);
 }
 
-Result<OperatorPtr> PhysicalPlanner::Instantiate() { return Build(*plan_); }
+Result<OperatorPtr> PhysicalPlanner::Instantiate() {
+  return Build(analysis_.cut != nullptr ? *analysis_.cut->children[0] : *plan_, nullptr);
+}
 
-Result<OperatorPtr> PhysicalPlanner::Build(const LogicalOp& node) {
-  INDBML_ASSIGN_OR_RETURN(auto op, BuildNode(node));
+Result<OperatorPtr> PhysicalPlanner::InstantiateAboveCut(
+    std::shared_ptr<exec::QueryResult> merged) {
+  INDBML_CHECK(analysis_.cut != nullptr) << "InstantiateAboveCut on a plan without a cut";
+  return Build(*plan_, &merged);
+}
+
+Result<std::shared_ptr<exec::MorselMerge>> PhysicalPlanner::MakeMerge(
+    int64_t num_morsels) const {
+  const LogicalOp& cut = *analysis_.cut;
+  std::vector<std::string> names;
+  std::vector<exec::DataType> types;
+  for (const auto& c : cut.outputs) {
+    names.push_back(c.name);
+    types.push_back(c.type);
+  }
+  switch (cut.kind) {
+    case LogicalKind::kAggregate: {
+      std::vector<ExprPtr> groups;
+      std::vector<std::string> group_names;
+      std::vector<exec::AggregateSpec> aggs;
+      INDBML_RETURN_NOT_OK(LowerAggregate(cut, &groups, &group_names, &aggs));
+      return exec::MakeAggregateMerge(num_morsels, std::move(groups),
+                                      std::move(group_names), std::move(aggs));
+    }
+    case LogicalKind::kSort: {
+      auto mapping = PositionMap(cut.children[0]->outputs);
+      std::vector<ExprPtr> keys;
+      for (const auto& k : cut.sort_keys) {
+        INDBML_ASSIGN_OR_RETURN(auto e, Remap(*k, mapping));
+        keys.push_back(std::move(e));
+      }
+      const int64_t keep =
+          limit_above_sort_cut_ != nullptr ? limit_above_sort_cut_->limit : -1;
+      return exec::MakeSortMerge(num_morsels, std::move(keys), cut.ascending, keep,
+                                 std::move(names), std::move(types));
+    }
+    case LogicalKind::kLimit:
+      return exec::MakeLimitMerge(num_morsels, cut.limit, std::move(names),
+                                  std::move(types));
+    default:
+      return Status::Internal("plan cut at an operator that is not a pipeline breaker");
+  }
+}
+
+Result<OperatorPtr> PhysicalPlanner::Build(const LogicalOp& node,
+                                           const std::shared_ptr<exec::QueryResult>* merged) {
+  INDBML_ASSIGN_OR_RETURN(auto op, BuildNode(node, merged));
   if (validation::Enabled()) {
     // Model predictions and stored values may legitimately be non-finite;
     // any other operator emitting a NaN is propagating a corrupted
@@ -154,7 +245,7 @@ Result<OperatorPtr> PhysicalPlanner::Build(const LogicalOp& node) {
   return op;
 }
 
-Result<OperatorPtr> PhysicalPlanner::TryBuildFused(const LogicalOp& node) {
+Result<OperatorPtr> PhysicalPlanner::TryBuildFused(const LogicalOp& node, bool above_cut) {
   // Profiled plans keep the discrete operators so EXPLAIN ANALYZE reports
   // true per-operator row counts and timings.
   if (profile_ != nullptr) return OperatorPtr();
@@ -204,7 +295,7 @@ Result<OperatorPtr> PhysicalPlanner::TryBuildFused(const LogicalOp& node) {
     }
   }
 
-  if (MorselBound(scan.table)) {
+  if (MorselBound(scan.table, above_cut)) {
     return OperatorPtr(std::make_unique<exec::FusedTableScanOperator>(
         exec::FusedTableScanOperator::MorselBound{}, scan.table,
         scan.scan_columns, scan.pushed, std::move(residuals),
@@ -216,12 +307,17 @@ Result<OperatorPtr> PhysicalPlanner::TryBuildFused(const LogicalOp& node) {
       std::move(projection), std::move(names)));
 }
 
-Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node) {
+Result<OperatorPtr> PhysicalPlanner::BuildNode(
+    const LogicalOp& node, const std::shared_ptr<exec::QueryResult>* merged) {
+  const bool above_cut = merged != nullptr;
+  if (above_cut && &node == analysis_.cut) {
+    return OperatorPtr(std::make_unique<exec::ChunkSourceOperator>(*merged));
+  }
   switch (node.kind) {
     case LogicalKind::kScan: {
-      INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node));
+      INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node, above_cut));
       if (fused != nullptr) return fused;
-      if (MorselBound(node.table)) {
+      if (MorselBound(node.table, above_cut)) {
         // Morsel-bound: starts empty; the morsel executor re-targets the
         // scan's row range per claimed morsel via Rewind.
         return OperatorPtr(std::make_unique<exec::TableScanOperator>(
@@ -233,18 +329,18 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node) {
           node.scan_columns, node.pushed));
     }
     case LogicalKind::kFilter: {
-      INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node));
+      INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node, above_cut));
       if (fused != nullptr) return fused;
-      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0]));
+      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], merged));
       auto mapping = PositionMap(node.children[0]->outputs);
       INDBML_ASSIGN_OR_RETURN(auto cond, Remap(*node.condition, mapping));
       return OperatorPtr(
           std::make_unique<exec::FilterOperator>(std::move(child), std::move(cond)));
     }
     case LogicalKind::kProject: {
-      INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node));
+      INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node, above_cut));
       if (fused != nullptr) return fused;
-      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0]));
+      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], merged));
       auto mapping = PositionMap(node.children[0]->outputs);
       std::vector<ExprPtr> exprs;
       std::vector<std::string> names;
@@ -257,8 +353,8 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node) {
           std::move(child), std::move(exprs), std::move(names)));
     }
     case LogicalKind::kHashJoin: {
-      INDBML_ASSIGN_OR_RETURN(auto probe, Build(*node.children[0]));
-      INDBML_ASSIGN_OR_RETURN(auto build, Build(*node.children[1]));
+      INDBML_ASSIGN_OR_RETURN(auto probe, Build(*node.children[0], merged));
+      INDBML_ASSIGN_OR_RETURN(auto build, Build(*node.children[1], merged));
       auto probe_map = PositionMap(node.children[0]->outputs);
       auto build_map = PositionMap(node.children[1]->outputs);
       std::vector<ExprPtr> probe_keys;
@@ -276,32 +372,17 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node) {
           std::move(build_keys)));
     }
     case LogicalKind::kCrossJoin: {
-      INDBML_ASSIGN_OR_RETURN(auto left, Build(*node.children[0]));
-      INDBML_ASSIGN_OR_RETURN(auto right, Build(*node.children[1]));
+      INDBML_ASSIGN_OR_RETURN(auto left, Build(*node.children[0], merged));
+      INDBML_ASSIGN_OR_RETURN(auto right, Build(*node.children[1], merged));
       return OperatorPtr(std::make_unique<exec::CrossJoinOperator>(std::move(left),
                                                                    std::move(right)));
     }
     case LogicalKind::kAggregate: {
-      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0]));
-      auto mapping = PositionMap(node.children[0]->outputs);
+      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], merged));
       std::vector<ExprPtr> groups;
       std::vector<std::string> group_names;
-      for (size_t g = 0; g < node.groups.size(); ++g) {
-        INDBML_ASSIGN_OR_RETURN(auto e, Remap(*node.groups[g], mapping));
-        groups.push_back(std::move(e));
-        group_names.push_back(node.outputs[g].name);
-      }
       std::vector<exec::AggregateSpec> aggs;
-      for (const auto& a : node.aggregates) {
-        exec::AggregateSpec spec;
-        spec.function = a.function;
-        spec.result_type = a.result_type;
-        spec.name = a.name;
-        if (a.argument) {
-          INDBML_ASSIGN_OR_RETURN(spec.argument, Remap(*a.argument, mapping));
-        }
-        aggs.push_back(std::move(spec));
-      }
+      INDBML_RETURN_NOT_OK(LowerAggregate(node, &groups, &group_names, &aggs));
       if (node.streaming) {
         return OperatorPtr(std::make_unique<exec::StreamingAggregateOperator>(
             std::move(child), std::move(groups), std::move(group_names),
@@ -312,7 +393,7 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node) {
           std::move(aggs)));
     }
     case LogicalKind::kSort: {
-      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0]));
+      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], merged));
       auto mapping = PositionMap(node.children[0]->outputs);
       std::vector<ExprPtr> keys;
       for (const auto& k : node.sort_keys) {
@@ -323,7 +404,7 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node) {
           std::move(child), std::move(keys), node.ascending));
     }
     case LogicalKind::kLimit: {
-      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0]));
+      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], merged));
       return OperatorPtr(
           std::make_unique<exec::LimitOperator>(std::move(child), node.limit));
     }
@@ -332,7 +413,7 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node) {
         return Status::NotImplemented(
             "no native ModelJoin implementation registered with this engine");
       }
-      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0]));
+      INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], merged));
       auto mapping = PositionMap(node.children[0]->outputs);
       ModelJoinPhysicalArgs args;
       for (int64_t id : node.modeljoin.input_column_ids) {

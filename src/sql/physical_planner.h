@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/morsel.h"
 #include "exec/operator.h"
 #include "exec/profile.h"
 #include "sql/logical_plan.h"
@@ -71,11 +72,16 @@ using ModelJoinOperatorFactory =
 
 /// \brief Lowers an optimized logical plan to per-worker operator trees.
 ///
-/// Column references (binder ids) are rewritten to chunk positions. With
-/// more than one worker, the scans of the partitioned table identified by
+/// Column references (binder ids) are rewritten to chunk positions. In a
+/// morsel-driven plan, the scans of the partitioned table identified by
 /// the PlanAnalysis are built morsel-bound (empty until the pipeline
-/// executor assigns them a row range via Rewind); with one worker they read
-/// the whole table. Every other scan reads its full table in each worker.
+/// executor assigns them a row range via Rewind); otherwise they read the
+/// whole table. Every other scan reads its full table in each worker.
+///
+/// A plan with a cut (PlanAnalysis::cut) lowers in three parts: the
+/// per-worker trees below the cut (Instantiate), the breaker's partial
+/// state (MakeMerge), and the operators above the cut over the merged rows
+/// (InstantiateAboveCut), whose scans read whole tables.
 class PhysicalPlanner {
  public:
   /// With a non-null `profile`, Prepare() registers every plan node in it
@@ -92,30 +98,51 @@ class PhysicalPlanner {
   /// Effective worker count (1 if the plan is not parallel-safe).
   int num_workers() const { return num_workers_; }
 
-  /// Builds the private operator tree of one executor instance.
-  /// Thread-safe: called concurrently by lazily created instances after
-  /// Prepare() succeeded.
+  /// True if the plan runs over morsels: it has a cut, or it is
+  /// parallel-safe and lowered for several workers.
+  bool morsel_driven() const { return morsel_driven_; }
+
+  /// Builds the private operator tree of one executor instance: the whole
+  /// plan, or the part below the cut. Thread-safe: called concurrently by
+  /// lazily created instances after Prepare() succeeded.
   Result<exec::OperatorPtr> Instantiate();
+
+  /// The partial state of the cut's breaker over `num_morsels` morsels.
+  /// Requires a cut.
+  Result<std::shared_ptr<exec::MorselMerge>> MakeMerge(int64_t num_morsels) const;
+
+  /// Builds the operators above the cut, reading the cut's rows from
+  /// `merged`. Requires a cut.
+  Result<exec::OperatorPtr> InstantiateAboveCut(std::shared_ptr<exec::QueryResult> merged);
 
   /// Creates shared state (ModelJoin) once; must be called before the first
   /// Instantiate.
   Status Prepare();
 
  private:
-  Result<exec::OperatorPtr> Build(const LogicalOp& node);
-  Result<exec::OperatorPtr> BuildNode(const LogicalOp& node);
+  /// `merged` is null when building per-morsel trees; above the cut it
+  /// holds the merged rows that replace the cut's subtree.
+  Result<exec::OperatorPtr> Build(const LogicalOp& node,
+                                  const std::shared_ptr<exec::QueryResult>* merged);
+  Result<exec::OperatorPtr> BuildNode(const LogicalOp& node,
+                                      const std::shared_ptr<exec::QueryResult>* merged);
   /// Fuses a [Project(column refs)] [Filter]* Scan chain rooted at `node`
   /// into one FusedTableScanOperator. Returns nullptr (OK) when the chain
   /// does not qualify; the caller falls through to discrete operators.
-  Result<exec::OperatorPtr> TryBuildFused(const LogicalOp& node);
-  /// True if `table` is the partitioned table and this plan runs on several
-  /// workers: its scans then take their row range from each morsel.
-  bool MorselBound(const storage::TablePtr& table) const;
+  Result<exec::OperatorPtr> TryBuildFused(const LogicalOp& node, bool above_cut);
+  /// True if `table` is the partitioned table and a scan of it at this
+  /// place takes its row range from each morsel: the plan is morsel-driven
+  /// and the scan is not above the cut.
+  bool MorselBound(const storage::TablePtr& table, bool above_cut) const;
   void RegisterProfileNodes(const LogicalOp& node, int depth);
 
   const LogicalOp* plan_;
   PlanAnalysis analysis_;
   int num_workers_;
+  bool morsel_driven_;
+  /// The cut's parent when it is a LIMIT over a sort cut (each sorted run
+  /// then keeps only its first rows), else null.
+  const LogicalOp* limit_above_sort_cut_ = nullptr;
   bool shared_models_;
   InferenceExecOptions inference_;
   ModelJoinStateFactory state_factory_;

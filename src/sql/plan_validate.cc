@@ -255,8 +255,12 @@ Status ValidateMorselSafety(const LogicalOp& plan, const PlanAnalysis& analysis)
     return Status::Internal(
         "morsel-driven execution requested without a partitioned table");
   }
-  bool order_sensitive = ContainsKind(plan, LogicalKind::kAggregate) ||
-                         ContainsKind(plan, LogicalKind::kSort);
+  // Only the part below the cut runs per morsel; the cut's breaker merges
+  // across morsels and needs no alignment.
+  const LogicalOp& per_morsel =
+      analysis.cut != nullptr ? *analysis.cut->children[0] : plan;
+  bool order_sensitive = ContainsKind(per_morsel, LogicalKind::kAggregate) ||
+                         ContainsKind(per_morsel, LogicalKind::kSort);
   if (order_sensitive) {
     const storage::Table& table = *analysis.partitioned_table;
     const std::string& id_name = table.unique_id_column();

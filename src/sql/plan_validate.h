@@ -24,10 +24,11 @@ Status ValidateLogicalPlan(const LogicalOp& plan);
 /// Run (under `INDBML_VALIDATE=1`) right before a plan is handed to the
 /// morsel executor. Verifies the facts the morsel path relies on: the
 /// analysis marked the plan parallel-safe and identified a partitioned
-/// table, and — when the plan contains an aggregation or sort, whose
-/// decomposition depends on partition boundaries never splitting a group —
-/// that the partitioned table declares a unique-id column resolving to an
-/// Int64 column (MakeMorsels aligns morsel boundaries on it).
+/// table, and — when the part of the plan that runs per morsel (below the
+/// cut, if any) contains an aggregation or sort, whose decomposition
+/// depends on partition boundaries never splitting a group — that the
+/// partitioned table declares a unique-id column resolving to an Int64
+/// column (MakeMorsels aligns morsel boundaries on it).
 Status ValidateMorselSafety(const LogicalOp& plan, const PlanAnalysis& analysis);
 
 }  // namespace indbml::sql

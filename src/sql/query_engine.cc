@@ -13,14 +13,6 @@
 
 namespace indbml::sql {
 
-namespace {
-
-int WorkersFor(const QueryEngine::Options& opts) {
-  return opts.worker_threads > 0 ? opts.worker_threads : HardwareConcurrency();
-}
-
-}  // namespace
-
 QueryEngine::QueryEngine() : QueryEngine(Options()) {}
 
 QueryEngine::QueryEngine(Options options) : options_(options) {
@@ -40,6 +32,10 @@ QueryEngine::Options QueryEngine::options() const {
 void QueryEngine::set_options(const Options& options) {
   MutexLock lock(options_mu_);
   options_ = options;
+}
+
+int QueryEngine::WorkersFor(const Options& opts) {
+  return opts.worker_threads > 0 ? opts.worker_threads : HardwareConcurrency();
 }
 
 int QueryEngine::EffectiveWorkers() const { return WorkersFor(options()); }
@@ -92,21 +88,31 @@ Result<exec::JobSpec> QueryEngine::PrepareJob(
   Optimizer optimizer(opts.optimizer);
   const PlanAnalysis analysis = optimizer.Analyze(*plan);
   // The planner lowers a plan that is not parallel-safe for one worker, so
-  // `max_workers` is only a ceiling; one worker means a whole-plan drain.
+  // `max_workers` is only a ceiling; one worker means a whole-plan drain
+  // unless the plan has a cut, which always runs over morsels.
   auto planner = std::make_shared<PhysicalPlanner>(
       plan.get(), analysis, max_workers, modeljoin_state_factory_,
       modeljoin_operator_factory_, profile, opts.shared_models, opts.inference);
   INDBML_RETURN_NOT_OK(planner->Prepare());
   exec::JobSpec spec;
   spec.num_instances = planner->num_workers();
-  if (planner->num_workers() > 1) {
+  if (planner->morsel_driven()) {
     if (validation::Enabled()) {
       INDBML_RETURN_NOT_OK(ValidateMorselSafety(*plan, analysis));
     }
-    // Every morsel may be pruned: the job then drains one morsel-bound
-    // instance, which yields the empty result with the plan's schema.
+    // Every morsel may be pruned: a plan without a cut then drains one
+    // morsel-bound instance, which yields the empty result with the plan's
+    // schema; a cut plan merges no partial state.
     spec.morsels = exec::MakeMorsels(*analysis.partitioned_table, opts.morsel_rows,
                                      analysis.partition_predicates);
+    if (analysis.cut != nullptr) {
+      INDBML_ASSIGN_OR_RETURN(
+          spec.merge,
+          planner->MakeMerge(static_cast<int64_t>(spec.morsels.size())));
+      spec.above_cut = [planner, plan](std::shared_ptr<exec::QueryResult> merged) {
+        return planner->InstantiateAboveCut(std::move(merged));
+      };
+    }
   }
   spec.factory = [planner, plan](int) { return planner->Instantiate(); };
   spec.catalog = &catalog_;
@@ -162,9 +168,7 @@ Result<std::string> QueryEngine::Explain(const std::string& sql) {
   INDBML_ASSIGN_OR_RETURN(auto plan, PlanQuery(sql, opts));
   Optimizer optimizer(opts.optimizer);
   PlanAnalysis analysis = optimizer.Analyze(*plan);
-  std::string out = plan->ToString();
-  out += analysis.parallel_safe ? "[parallel-safe]\n" : "[serial]\n";
-  return out;
+  return plan->ToString() + "[" + analysis.Describe() + "]\n";
 }
 
 }  // namespace indbml::sql

@@ -108,7 +108,8 @@ class QueryEngine {
   /// Analyzes `plan` and lowers it under the given options snapshot into
   /// one executor job: for `max_workers` morsel-driven instances over the
   /// plan's morsels when the plan is parallel-safe and `max_workers` > 1,
-  /// for one whole-plan instance otherwise. ModelJoin shared state is
+  /// or when it has a cut (then with a merge and a finalize stage, see
+  /// exec::JobSpec), for one whole-plan instance otherwise. ModelJoin shared state is
   /// created here (registry lookup when `opts.shared_models`). The job's
   /// factory keeps `plan` and the lowered planner alive until the job is
   /// gone. Used by ExecutePlan and by the serving path (server/session.cc),
@@ -127,6 +128,7 @@ class QueryEngine {
   /// Effective worker count: `worker_threads` if set, one per
   /// hardware thread otherwise.
   int EffectiveWorkers() const;
+  static int WorkersFor(const Options& opts);
 
  private:
   mutable Mutex options_mu_;

@@ -18,6 +18,7 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "exec/morsel.h"
+#include "inference/cache.h"
 #include "inference/shared_model.h"
 #include "mltosql/mltosql.h"
 #include "nn/model.h"
@@ -205,6 +206,85 @@ TEST(MorselSourceStressTest, AbortStopsHandouts) {
 /// the model table, parses them into the shared weight matrices and waits
 /// for the build to finish. Repeated rounds on fresh models catch missing
 /// happens-before edges between the parsers, the uploader and the waiters.
+/// Sharded inference cache: 8 threads Lookup, Insert, InvalidateModel and
+/// set_capacity_bytes at once. A model id stands for one deployed model
+/// version, and every value encodes the (model id, tuple) it was computed
+/// for, so a hit can never be stale (another version's value) or torn.
+/// Each resize is followed by a check that the summed bytes fit, and once
+/// the threads are done nothing inserted is lost.
+TEST(InferenceCacheStressTest, ConcurrentLookupInsertInvalidateResize) {
+  inference::InferenceCache cache;
+  constexpr int kThreads = 8;
+  constexpr int64_t kD = 3;
+  constexpr int64_t kO = 2;
+  constexpr int64_t kN = 48;
+  auto predict = [](int64_t model_id, const float* tuple) {
+    return std::vector<float>{static_cast<float>(model_id),
+                              tuple[0] * 4.0f + tuple[1] * 2.0f + tuple[2]};
+  };
+  // Tuples from a small domain, so threads hit each other's entries.
+  auto make_batch = [](uint64_t seed, std::vector<float>* in) {
+    in->resize(static_cast<size_t>(kD * kN));
+    for (int64_t j = 0; j < kN; ++j) {
+      seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+      for (int64_t f = 0; f < kD; ++f) {
+        (*in)[static_cast<size_t>(f * kN + j)] = static_cast<float>((seed >> (20 + 3 * f)) & 7);
+      }
+    }
+  };
+  std::atomic<int64_t> bad{0};
+  std::atomic<int64_t> over_capacity{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<float> in, tuple(kD), out(static_cast<size_t>(kO * kN)),
+          results(static_cast<size_t>(kO * kN));
+      for (int round = 0; round < kRounds * 4; ++round) {
+        const int64_t model_id = 1 + (t + round) % 5;
+        make_batch(static_cast<uint64_t>(t * 100003 + round), &in);
+        std::vector<char> hits(static_cast<size_t>(kN), 0);
+        cache.Lookup(model_id, in.data(), kN, kD, kO, out.data(), &hits);
+        for (int64_t j = 0; j < kN; ++j) {
+          for (int64_t f = 0; f < kD; ++f) tuple[f] = in[static_cast<size_t>(f * kN + j)];
+          const std::vector<float> want = predict(model_id, tuple.data());
+          for (int64_t p = 0; p < kO; ++p) {
+            if (hits[static_cast<size_t>(j)] != 0 &&
+                out[static_cast<size_t>(p * kN + j)] != want[static_cast<size_t>(p)]) {
+              bad.fetch_add(1);
+            }
+            results[static_cast<size_t>(p * kN + j)] = want[static_cast<size_t>(p)];
+          }
+        }
+        cache.Insert(model_id, in.data(), kN, kD, kO, results.data());
+        if (t == 0 && round % 7 == 0) cache.InvalidateModel(1 + round % 5);
+        if (t == kThreads - 1 && round % 5 == 0) {
+          const int64_t capacity = (round / 5) % 3 == 0 ? 0 : 2048 << ((round / 5) % 3);
+          cache.set_capacity_bytes(capacity);
+          if (cache.GetStats().bytes > capacity) over_capacity.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(bad.load(), 0) << "a hit returned another key's or version's value";
+  EXPECT_EQ(over_capacity.load(), 0);
+
+  // Nothing lost: with room for everything, every inserted tuple hits.
+  cache.set_capacity_bytes(1 << 20);
+  std::vector<float> in, out(static_cast<size_t>(kO * kN)), results(static_cast<size_t>(kO * kN));
+  make_batch(424242, &in);
+  for (int64_t j = 0; j < kN; ++j) {
+    const float tuple[3] = {in[static_cast<size_t>(j)], in[static_cast<size_t>(kN + j)],
+                            in[static_cast<size_t>(2 * kN + j)]};
+    const std::vector<float> want = predict(9, tuple);
+    for (int64_t p = 0; p < kO; ++p) results[static_cast<size_t>(p * kN + j)] = want[static_cast<size_t>(p)];
+  }
+  cache.Insert(9, in.data(), kN, kD, kO, results.data());
+  std::vector<char> hits(static_cast<size_t>(kN), 0);
+  EXPECT_EQ(cache.Lookup(9, in.data(), kN, kD, kO, out.data(), &hits), kN);
+  EXPECT_EQ(out, results);
+}
+
 TEST(SharedModelStressTest, ConcurrentBuildRounds) {
   auto model_or = nn::MakeDenseBenchmarkModel(/*width=*/12, /*depth=*/3, 7);
   ASSERT_TRUE(model_or.ok());

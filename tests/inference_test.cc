@@ -159,6 +159,53 @@ TEST_F(InferenceRuntimeTest, BatchedMatchesUnbatchedGru) {
 
 // Blocking at the vector size: n far above vector_size runs in blocks that
 // each match a direct single-block pass.
+// Full vectors run inline: concurrent calls of at least vector_size() rows
+// never wait in the coalescing window, and their outputs stay bit-identical
+// to direct runtime passes.
+TEST_F(InferenceRuntimeTest, FullVectorCallsRunInlineWithoutBatchWait) {
+  ASSERT_OK_AND_ASSIGN(nn::Model model, nn::MakeDenseBenchmarkModel(16, 3, 7));
+  auto shared = BuildShared(model, cpu_.get(), 256);
+  const int64_t d = model.input_width();
+  const int64_t o = model.output_dim();
+  InferenceOptions opts;
+  opts.batch_window_us = 2'000'000;  // any wait at all would show
+  opts.max_batch_rows = 4096;
+  const int64_t sizes[] = {256, 600, 256, 1024};
+  metrics::Histogram* waits =
+      metrics::Registry::Global().histogram("inference.batch_wait_micros");
+  const int64_t waits_before = waits->count();
+
+  std::vector<std::vector<float>> ins, outs, refs;
+  for (int t = 0; t < 4; ++t) {
+    ins.push_back(RandomInput(d, sizes[t], 50 + t));
+    outs.emplace_back(static_cast<size_t>(o * sizes[t]));
+    refs.emplace_back(static_cast<size_t>(o * sizes[t]));
+    ASSERT_OK(InferenceRuntime::Global().Run(*shared, ins.back().data(), sizes[t],
+                                             refs.back().data()));
+  }
+  std::vector<Status> statuses(4);
+  std::vector<InferenceCallStats> stats(4);
+  std::vector<std::thread> threads;
+  Stopwatch watch;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      const size_t i = static_cast<size_t>(t);
+      statuses[i] = InferenceBatcher::Global().Run(shared, ins[i].data(), sizes[t],
+                                                   outs[i].data(), opts, nullptr, &stats[i]);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_LT(watch.ElapsedMicros(), 1'000'000);
+  EXPECT_EQ(waits->count(), waits_before) << "a full vector waited for partners";
+  for (size_t t = 0; t < 4; ++t) {
+    ASSERT_OK(statuses[t]);
+    EXPECT_EQ(stats[t].wait_micros, 0);
+    EXPECT_EQ(stats[t].batch_rows, sizes[t]) << "a full vector must launch alone";
+    ASSERT_EQ(0, std::memcmp(outs[t].data(), refs[t].data(), outs[t].size() * sizeof(float)))
+        << "call " << t;
+  }
+}
+
 TEST_F(InferenceRuntimeTest, RunBlocksAtVectorSize) {
   ASSERT_OK_AND_ASSIGN(nn::Model model, nn::MakeDenseBenchmarkModel(8, 2, 3));
   auto shared = BuildShared(model, cpu_.get(), 128);
@@ -312,6 +359,27 @@ TEST_F(InferenceRuntimeTest, CacheCapacityZeroDisables) {
   std::vector<char> hits(1, 0);
   EXPECT_EQ(cache.Lookup(5, in, 1, 2, 1, out, &hits), 0);
   EXPECT_EQ(cache.GetStats().entries, 0);
+}
+
+// The shards' byte shares sum to the capacity: mixed key and value sizes
+// never push the summed bytes above it, before or after a shrink.
+TEST_F(InferenceRuntimeTest, CacheBytesStayWithinCapacityForMixedSizes) {
+  InferenceCache& cache = InferenceCache::Global();
+  cache.set_capacity_bytes(10'000);
+  std::mt19937 rng(5);
+  for (int i = 0; i < 400; ++i) {
+    const int64_t d = 1 + static_cast<int64_t>(rng() % 40);
+    const int64_t o = 1 + static_cast<int64_t>(rng() % 5);
+    const int64_t n = 1 + static_cast<int64_t>(rng() % 8);
+    auto in = RandomInput(d, n, static_cast<uint64_t>(i));
+    std::vector<float> results(static_cast<size_t>(o * n), 1.0f);
+    cache.Insert(/*model_id=*/i % 3, in.data(), n, d, o, results.data());
+    ASSERT_LE(cache.GetStats().bytes, 10'000) << "insert " << i;
+  }
+  EXPECT_GT(cache.GetStats().entries, 0);
+  cache.set_capacity_bytes(3'000);
+  EXPECT_LE(cache.GetStats().bytes, 3'000);
+  EXPECT_EQ(cache.capacity_bytes(), 3'000);
 }
 
 // ---------------------------------------------------------------------------

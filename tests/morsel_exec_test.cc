@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,8 +24,11 @@
 #include "exec/profile.h"
 #include "exec/vector.h"
 #include "mltosql/mltosql.h"
+#include "modeljoin/model_registry.h"
 #include "modeljoin/register.h"
 #include "nn/model.h"
+#include "nn/model_meta.h"
+#include "server/server.h"
 #include "sql/plan_validate.h"
 #include "sql/query_engine.h"
 #include "test_util.h"
@@ -469,13 +476,26 @@ TEST(MorselSafetyValidationTest, AcceptsParallelSafeRejectsSerialOnly) {
   ASSERT_TRUE(safe_analysis.parallel_safe);
   ASSERT_OK(sql::ValidateMorselSafety(*safe_plan, safe_analysis));
 
-  // Global LIMIT does not decompose over morsels; the analysis marks it
-  // serial-only and the validator must refuse it.
-  const std::string limit_query = "SELECT f.id FROM fact f LIMIT 5";
-  ASSERT_OK_AND_ASSIGN(auto limit_plan, engine.PlanQuery(limit_query));
-  sql::PlanAnalysis limit_analysis = optimizer.Analyze(*limit_plan);
-  ASSERT_FALSE(limit_analysis.parallel_safe);
-  EXPECT_FALSE(sql::ValidateMorselSafety(*limit_plan, limit_analysis).ok());
+  // A global LIMIT or GROUP BY on a non-id key is cut: the plan below it
+  // runs per morsel and the validator accepts it.
+  for (const char* cut_query :
+       {"SELECT f.id FROM fact f LIMIT 5",
+        "SELECT f.k, SUM(f.a) AS s FROM fact f GROUP BY f.k ORDER BY s DESC"}) {
+    ASSERT_OK_AND_ASSIGN(auto cut_plan, engine.PlanQuery(cut_query));
+    sql::PlanAnalysis cut_analysis = optimizer.Analyze(*cut_plan);
+    ASSERT_TRUE(cut_analysis.parallel_safe) << cut_query;
+    ASSERT_NE(cut_analysis.cut, nullptr) << cut_query;
+    EXPECT_OK(sql::ValidateMorselSafety(*cut_plan, cut_analysis));
+  }
+
+  // A self-join on a non-id key does not decompose over morsels; the
+  // analysis marks it serial-only and the validator must refuse it.
+  const std::string serial_query =
+      "SELECT a.id FROM fact a, fact b WHERE a.k = b.k AND a.id < 3";
+  ASSERT_OK_AND_ASSIGN(auto serial_plan, engine.PlanQuery(serial_query));
+  sql::PlanAnalysis serial_analysis = optimizer.Analyze(*serial_plan);
+  ASSERT_FALSE(serial_analysis.parallel_safe);
+  EXPECT_FALSE(sql::ValidateMorselSafety(*serial_plan, serial_analysis).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -550,6 +570,209 @@ TEST_F(MorselDeterminismTest, ScalarAblationBitIdentical) {
   simd::ScopedEnable off(false);
   ASSERT_OK_AND_ASSIGN(auto scalar_result, serial_->ExecuteQuery(query));
   ExpectRowIdentical(scalar_result, simd_result);
+}
+
+// ---------------------------------------------------------------------------
+// Plans cut at a pipeline breaker (sql/optimizer.h PlanAnalysis::cut): a
+// GROUP BY on another key or expression, a global aggregate, ORDER BY and
+// LIMIT over MODEL JOIN. The part below the cut runs per morsel; the merge
+// runs in morsel order, so 1 and 4 workers — bare engine or served, with
+// the inference batcher and result cache on — give bit-identical rows.
+
+struct BreakerFamily {
+  const char* name;
+  const char* predict;  ///< the MODEL JOIN ... PREDICT (...) clause
+  bool dense;           ///< Iris + dense model (has `class`), else sinus + LSTM
+};
+
+class BreakerIdentityTest : public ::testing::TestWithParam<BreakerFamily> {
+ protected:
+  static constexpr int64_t kRows = 6000;
+
+  void SetUp() override {
+    modeljoin::SharedModelRegistry::Global().Clear();
+    const BreakerFamily& family = GetParam();
+    fact_ = family.dense ? benchlib::MakeIrisTable("fact", kRows)
+                         : benchlib::MakeSinusTable("fact", kRows, 3);
+    auto made = family.dense ? nn::MakeDenseBenchmarkModel(16, 3, 21)
+                             : nn::MakeLstmBenchmarkModel(12, 3, 33);
+    ASSERT_OK(made.status());
+    model_ = std::move(made).ValueOrDie();
+  }
+
+  static sql::QueryEngine::Options EngineOptions(int workers) {
+    sql::QueryEngine::Options options;
+    options.worker_threads = workers;
+    options.morsel_rows = 256;  // many morsels: every merge path is exercised
+    options.inference.batch_window_us = 200;
+    options.inference.result_cache = true;
+    return options;
+  }
+
+  void Deploy(sql::QueryEngine* engine) {
+    engine->catalog()->CreateOrReplaceTable(fact_);
+    mltosql::MlToSql framework(&model_, "m");
+    ASSERT_OK(framework.Deploy(engine));
+    engine->models()->Register(nn::MetaOf(model_, "mm"));
+  }
+
+  std::string From() const {
+    return std::string(" FROM fact MODEL JOIN m USING MODEL 'mm' DEVICE 'cpu' ") +
+           GetParam().predict;
+  }
+
+  /// The breaker shapes, over the whole table, a zone-pruned id range and
+  /// an all-pruned (empty) range.
+  std::vector<std::string> Queries() const {
+    const std::string from = From();
+    const std::string key = GetParam().dense ? "class" : "id / 1000";
+    std::vector<std::string> queries;
+    for (const std::string where :
+         {"", " WHERE id >= 1500 AND id < 4100", " WHERE id < 0"}) {
+      queries.push_back("SELECT " + key + " AS g, COUNT(*) AS n, AVG(prediction) AS a, " +
+                        "SUM(prediction) AS s, MIN(prediction) AS lo, MAX(prediction) AS hi" +
+                        from + where + " GROUP BY " + key);
+      queries.push_back("SELECT id / 7 AS g, SUM(prediction) AS s" + from + where +
+                        " GROUP BY id / 7");
+      queries.push_back("SELECT COUNT(*) AS n, SUM(prediction) AS s, AVG(prediction) AS a" +
+                        from + where);
+      queries.push_back("SELECT id, prediction" + from + where + " ORDER BY prediction DESC");
+      queries.push_back("SELECT id, prediction" + from + where + " LIMIT 300");
+      queries.push_back("SELECT id, prediction" + from + where +
+                        " ORDER BY prediction DESC LIMIT 25");
+    }
+    return queries;
+  }
+
+  storage::TablePtr fact_;
+  nn::Model model_;
+};
+
+TEST_P(BreakerIdentityTest, OneAndFourWorkersBitIdenticalBareAndServed) {
+  sql::QueryEngine one(EngineOptions(1));
+  sql::QueryEngine four(EngineOptions(4));
+  for (sql::QueryEngine* engine : {&one, &four}) {
+    modeljoin::RegisterNativeModelJoin(engine);
+    Deploy(engine);
+  }
+  server::QueryServer::Options server_options;
+  server_options.worker_threads = 4;
+  server::QueryServer srv(server_options);
+  modeljoin::RegisterNativeModelJoin(srv.engine());
+  Deploy(srv.engine());
+  auto served_one = srv.CreateSession();
+  auto served_four = srv.CreateSession();
+  sql::QueryEngine::Options session_options = served_one->options();
+  session_options.morsel_rows = 256;
+  session_options.worker_threads = 1;
+  served_one->set_options(session_options);
+  session_options.worker_threads = 4;
+  served_four->set_options(session_options);
+
+  for (const std::string& query : Queries()) {
+    SCOPED_TRACE(query);
+    ASSERT_OK_AND_ASSIGN(std::string explain, four.Explain(query));
+    EXPECT_NE(explain.find("[parallel, merge at "), std::string::npos) << explain;
+    ASSERT_OK_AND_ASSIGN(auto reference, one.ExecuteQuery(query));
+    ASSERT_OK_AND_ASSIGN(auto bare_four, four.ExecuteQuery(query));
+    ExpectRowIdentical(bare_four, reference);
+    ASSERT_OK_AND_ASSIGN(auto served_result_one, served_one->ExecuteQuery(query));
+    ExpectRowIdentical(served_result_one, reference);
+    ASSERT_OK_AND_ASSIGN(auto served_result_four, served_four->ExecuteQuery(query));
+    ExpectRowIdentical(served_result_four, reference);
+    if (query.find("id < 0") != std::string::npos) {
+      // All morsels pruned: a global aggregate still yields its one row.
+      EXPECT_EQ(reference.num_rows, query.find("GROUP BY") == std::string::npos &&
+                                            query.find("SELECT COUNT") == 0
+                                        ? 1
+                                        : 0);
+    }
+  }
+}
+
+/// The merged results agree with the same statistics computed from the
+/// plain (breaker-free) scan of the predictions: within 1e-4 for float
+/// aggregates, exactly for counts and for the stable sort order.
+TEST_P(BreakerIdentityTest, MergedResultsMatchPlainScan) {
+  sql::QueryEngine engine(EngineOptions(4));
+  modeljoin::RegisterNativeModelJoin(&engine);
+  Deploy(&engine);
+  const std::string from = From();
+  ASSERT_OK_AND_ASSIGN(auto plain, engine.ExecuteQuery("SELECT id, prediction" + from));
+  ASSERT_EQ(plain.num_rows, kRows);
+  std::vector<std::pair<int64_t, float>> rows;
+  for (int64_t r = 0; r < plain.num_rows; ++r) {
+    rows.emplace_back(plain.GetValue(r, 0).i, plain.GetValue(r, 1).f);
+  }
+
+  // Global aggregate.
+  double sum = 0;
+  for (const auto& [id, p] : rows) sum += p;
+  const std::string global_query = "SELECT COUNT(*) AS n, AVG(prediction) AS a" + from;
+  ASSERT_OK_AND_ASSIGN(auto global, engine.ExecuteQuery(global_query));
+  ASSERT_EQ(global.num_rows, 1);
+  EXPECT_EQ(global.GetValue(0, 0).i, kRows);
+  EXPECT_NEAR(global.GetValue(0, 1).f, sum / kRows, 1e-4);
+
+  // GROUP BY a non-id expression.
+  std::map<int64_t, std::pair<int64_t, double>> groups;
+  for (const auto& [id, p] : rows) {
+    groups[id / 1000].first += 1;
+    groups[id / 1000].second += p;
+  }
+  const std::string grouped_query =
+      "SELECT id / 1000 AS g, COUNT(*) AS n, SUM(prediction) AS s" + from + " GROUP BY id / 1000";
+  ASSERT_OK_AND_ASSIGN(auto grouped, engine.ExecuteQuery(grouped_query));
+  ASSERT_EQ(grouped.num_rows, static_cast<int64_t>(groups.size()));
+  for (int64_t r = 0; r < grouped.num_rows; ++r) {
+    const auto& want = groups.at(grouped.GetValue(r, 0).i);
+    EXPECT_EQ(grouped.GetValue(r, 1).i, want.first);
+    EXPECT_NEAR(grouped.GetValue(r, 2).f, want.second, 1e-4 * std::max(1.0, std::abs(want.second)));
+  }
+
+  // ORDER BY prediction DESC, then LIMIT: the stable order of the scan.
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const auto& a, const auto& b) { return a.second > b.second; });
+  const std::string sorted_query =
+      "SELECT id, prediction" + from + " ORDER BY prediction DESC LIMIT 40";
+  ASSERT_OK_AND_ASSIGN(auto sorted, engine.ExecuteQuery(sorted_query));
+  ASSERT_EQ(sorted.num_rows, 40);
+  for (int64_t r = 0; r < sorted.num_rows; ++r) {
+    EXPECT_EQ(sorted.GetValue(r, 0).i, rows[static_cast<size_t>(r)].first) << "row " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModelJoin, BreakerIdentityTest,
+    ::testing::Values(
+        BreakerFamily{"dense",
+                      "PREDICT (sepal_length, sepal_width, petal_length, petal_width)", true},
+        BreakerFamily{"lstm", "PREDICT (x0, x1, x2)", false}),
+    [](const ::testing::TestParamInfo<BreakerFamily>& info) { return info.param.name; });
+
+/// A LIMIT without a sort below it stops handing out morsels once the
+/// morsels in index order hold its rows; the stop is neither an error nor a
+/// cancellation.
+TEST(LimitEarlyStopTest, StopsClaimingMorselsOnceSatisfied) {
+  sql::QueryEngine::Options options;
+  options.worker_threads = 2;
+  options.morsel_rows = 64;
+  sql::QueryEngine engine(options);
+  ASSERT_OK(engine.catalog()->CreateTable(DeterminismFactTable(20000)));
+  exec::QueryProfile profile;
+  const std::string query = "SELECT f.id, f.a FROM fact f LIMIT 100";
+  ASSERT_OK_AND_ASSIGN(auto result, engine.ExecuteQuery(query, &profile));
+  ASSERT_EQ(result.num_rows, 100);
+  for (int64_t r = 0; r < 100; ++r) EXPECT_EQ(result.GetValue(r, 0).i, r);
+  // 20000 rows in 313 morsels of 64; the scan must have stopped far short.
+  int64_t scanned = 0;
+  for (int node = 0; node < profile.num_nodes(); ++node) {
+    if (profile.node_label(node).rfind("Scan", 0) == 0) {
+      scanned += profile.Aggregate(node).rows;
+    }
+  }
+  EXPECT_GT(scanned, 0);
+  EXPECT_LT(scanned, 2000) << profile.ToString();
 }
 
 }  // namespace

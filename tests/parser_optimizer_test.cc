@@ -204,24 +204,40 @@ TEST_F(OptimizerTest, OrderedAggregationDisabledByOption) {
 }
 
 TEST_F(OptimizerTest, ParallelSafetyAnalysis) {
-  auto check = [&](const std::string& sql, bool expect_safe) {
+  // Each plan runs "parallel" (wholly per morsel), "parallel, merge at X"
+  // (per morsel below the breaker X, merged in morsel order above it), or
+  // serially for a named reason that no merge of per-morsel states fixes.
+  auto check = [&](const std::string& sql, const std::string& expect) {
     auto plan = engine_->PlanQuery(sql);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     sql::Optimizer optimizer(engine_->options().optimizer);
     sql::PlanAnalysis analysis = optimizer.Analyze(**plan);
-    EXPECT_EQ(analysis.parallel_safe, expect_safe) << sql;
+    EXPECT_EQ(analysis.Describe(), expect) << sql;
+    EXPECT_EQ(analysis.parallel_safe, expect.rfind("parallel", 0) == 0) << sql;
   };
-  check("SELECT id, SUM(x) s FROM fact GROUP BY id", true);
-  check("SELECT payload, SUM(x) s FROM fact GROUP BY payload", false);
-  check("SELECT id FROM fact ORDER BY id", true);
-  check("SELECT id FROM fact ORDER BY id DESC", false);
-  check("SELECT id, payload FROM fact ORDER BY payload", false);
-  check("SELECT id FROM fact LIMIT 1", false);
-  check("SELECT f.id FROM fact f, dim d WHERE f.id = d.k", true);
+  check("SELECT id, SUM(x) s FROM fact GROUP BY id", "parallel");
+  check("SELECT payload, SUM(x) s FROM fact GROUP BY payload",
+        "parallel, merge at Aggregate");
+  check("SELECT SUM(x) s, COUNT(*) n FROM fact", "parallel, merge at Aggregate");
+  check("SELECT id FROM fact ORDER BY id", "parallel");
+  check("SELECT id FROM fact ORDER BY id DESC", "parallel, merge at Sort");
+  check("SELECT id, payload FROM fact ORDER BY payload", "parallel, merge at Sort");
+  check("SELECT id FROM fact LIMIT 1", "parallel, merge at Limit");
+  // The lowest breaker is the cut; the ones above run over merged rows.
+  check("SELECT id, payload FROM fact ORDER BY payload LIMIT 3", "parallel, merge at Sort");
+  check("SELECT payload, SUM(x) s FROM fact GROUP BY payload ORDER BY s DESC LIMIT 2",
+        "parallel, merge at Aggregate");
+  check("SELECT id FROM fact ORDER BY id LIMIT 4", "parallel, merge at Limit");
+  check("SELECT f.id FROM fact f, dim d WHERE f.id = d.k", "parallel");
   // Fact joined with itself: aligned on id -> safe.
-  check("SELECT a.id FROM fact a, fact b WHERE a.id = b.id", true);
-  // Fact joined with itself on a non-partition key -> unsafe.
-  check("SELECT a.id FROM fact a, fact b WHERE a.x = b.x", false);
+  check("SELECT a.id FROM fact a, fact b WHERE a.id = b.id", "parallel");
+  // Fact joined with itself on a non-partition key: a match may pair rows
+  // of two different morsels, which no per-morsel state ever sees.
+  check("SELECT a.id FROM fact a, fact b WHERE a.x = b.x",
+        "serial: join of two partitioned branches not aligned on the partition column");
+  // ... and a breaker above such a join cannot cut below it.
+  check("SELECT COUNT(*) n FROM fact a, fact b WHERE a.x = b.x",
+        "serial: join of two partitioned branches not aligned on the partition column");
 }
 
 TEST_F(OptimizerTest, DisabledPushdownKeepsFilter) {
