@@ -21,6 +21,7 @@ change checkout unless --out names another file.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import shlex
@@ -65,6 +66,28 @@ def run_once(checkout, build_dir, workload, seed, seconds):
     if report is None:
         sys.stderr.write(proc.stderr[-4000:])
     return report, stamp, proc.returncode
+
+
+def source_stamp(checkout, printed):
+    """The commit the benchmark printed for `checkout`, unless the checkout's
+    sources differ from that commit: then a digest of the sources (the one
+    perfbench/run.py prints for a checkout without git), so the record names
+    the code that ran."""
+    status = subprocess.run(["git", "-C", checkout, "status", "--porcelain", "--",
+                             "src", "perfbench"],
+                            capture_output=True, text=True, check=False)
+    if status.returncode == 0 and not status.stdout.strip():
+        return printed
+    digest = hashlib.sha256()
+    for top in ("src", "perfbench"):
+        for dirpath, dirnames, filenames in os.walk(os.path.join(checkout, top)):
+            dirnames.sort()
+            for name in sorted(filenames):
+                path = os.path.join(dirpath, name)
+                digest.update(os.path.relpath(path, checkout).encode())
+                with open(path, "rb") as f:
+                    digest.update(f.read())
+    return "src-sha256:" + digest.hexdigest()[:12]
 
 
 def summarize(values):
@@ -140,7 +163,8 @@ def main(argv):
         "order": "alternating, parent first on even pairs",
         "machine": {key: stamps["change"][key]
                     for key in ("nproc", "simd", "build", "compiler") if key in stamps["change"]},
-        "commits": {side: stamps[side].get("commit") for side in stamps},
+        "commits": {side: source_stamp(sides[side][0], stamps[side].get("commit"))
+                    for side in stamps},
         "failed": failed,
         "exit_codes": exit_codes,
         "metrics": metrics,

@@ -97,7 +97,7 @@ Status SortOperator::Materialize(ExecContext* ctx) {
   rows.names = child_->output_names();
   rows.types = child_->output_types();
   INDBML_RETURN_NOT_OK(DrainAppend(child_.get(), ctx, &rows));
-  INDBML_RETURN_NOT_OK(SortRows(keys_, ascending_, std::move(rows), -1, &run_));
+  INDBML_RETURN_NOT_OK(SortRows(keys_, ascending_, std::move(rows), &run_));
   cursor_ = 0;
   sorted_ = true;
   return Status::OK();

@@ -134,10 +134,9 @@ class AggregateMerge final : public MorselMerge {
 class SortMerge final : public MorselMerge {
  public:
   SortMerge(int64_t num_morsels, std::vector<ExprPtr> keys, std::vector<bool> ascending,
-            int64_t keep_rows, std::vector<std::string> names, std::vector<DataType> types)
+            std::vector<std::string> names, std::vector<DataType> types)
       : keys_(std::move(keys)),
         ascending_(std::move(ascending)),
-        keep_rows_(keep_rows),
         names_(std::move(names)),
         types_(std::move(types)),
         runs_(static_cast<size_t>(num_morsels)) {}
@@ -146,8 +145,7 @@ class SortMerge final : public MorselMerge {
     QueryResult rows;
     rows.types = root->output_types();
     INDBML_RETURN_NOT_OK(DrainAppend(root, ctx, &rows));
-    return SortRows(keys_, ascending_, std::move(rows), keep_rows_,
-                    &runs_[static_cast<size_t>(index)]);
+    return SortRows(keys_, ascending_, std::move(rows), &runs_[static_cast<size_t>(index)]);
   }
 
   QueryResult Merge() override {
@@ -190,16 +188,14 @@ class SortMerge final : public MorselMerge {
     QueryResult out;
     out.names = names_;
     out.types = types_;
-    int64_t remaining = keep_rows_ >= 0 ? keep_rows_ : std::numeric_limits<int64_t>::max();
     std::vector<std::pair<const DataChunk*, int32_t>> batch;
     batch.reserve(static_cast<size_t>(kDefaultVectorSize));
-    while (!heap.empty() && remaining > 0) {
+    while (!heap.empty()) {
       const int32_t r = heap.front().run;
       SortedRun& run = runs_[static_cast<size_t>(r)];
       size_t& pos = cursor[static_cast<size_t>(r)];
       const auto [c, row] = run.order[pos];
       batch.emplace_back(&run.rows.chunks[static_cast<size_t>(c)], row);
-      --remaining;
       if (++pos < run.order.size()) {
         heap.front().key = run.keys.data() + pos * nk;
       } else {
@@ -217,7 +213,6 @@ class SortMerge final : public MorselMerge {
  private:
   std::vector<ExprPtr> keys_;
   std::vector<bool> ascending_;
-  int64_t keep_rows_;
   std::vector<std::string> names_;
   std::vector<DataType> types_;
   /// One sorted run per morsel (see MorselMerge on slot ownership).
@@ -300,11 +295,11 @@ std::shared_ptr<MorselMerge> MakeAggregateMerge(int64_t num_morsels,
 }
 
 std::shared_ptr<MorselMerge> MakeSortMerge(int64_t num_morsels, std::vector<ExprPtr> keys,
-                                           std::vector<bool> ascending, int64_t keep_rows,
+                                           std::vector<bool> ascending,
                                            std::vector<std::string> names,
                                            std::vector<DataType> types) {
   return std::make_shared<SortMerge>(num_morsels, std::move(keys), std::move(ascending),
-                                     keep_rows, std::move(names), std::move(types));
+                                     std::move(names), std::move(types));
 }
 
 std::shared_ptr<MorselMerge> MakeLimitMerge(int64_t num_morsels, int64_t limit,
@@ -315,7 +310,7 @@ std::shared_ptr<MorselMerge> MakeLimitMerge(int64_t num_morsels, int64_t limit,
 }
 
 Status SortRows(const std::vector<ExprPtr>& keys, const std::vector<bool>& ascending,
-                QueryResult rows, int64_t keep_rows, SortedRun* run) {
+                QueryResult rows, SortedRun* run) {
   const size_t nk = keys.size();
   const size_t n = static_cast<size_t>(rows.num_rows);
   std::vector<uint64_t> flat(n * nk);
@@ -336,39 +331,19 @@ Status SortRows(const std::vector<ExprPtr>& keys, const std::vector<bool>& ascen
     }
     base += static_cast<size_t>(chunk.size);
   }
-  // Ordering by (key, input position) is a total order, so a plain (or
-  // partial, for a kept prefix) sort yields exactly the stable order.
-  const size_t keep = keep_rows >= 0 ? std::min(n, static_cast<size_t>(keep_rows)) : n;
+  // Ordering by (key, input position) is a total order, so a plain sort
+  // yields exactly the stable order.
   std::vector<uint32_t> idx(n);
-  if (nk == 1) {
-    std::vector<std::pair<uint64_t, uint32_t>> keyed(n);
-    for (size_t i = 0; i < n; ++i) keyed[i] = {flat[i], static_cast<uint32_t>(i)};
-    if (keep < n) {
-      std::partial_sort(keyed.begin(), keyed.begin() + static_cast<ptrdiff_t>(keep),
-                        keyed.end());
-    } else {
-      std::sort(keyed.begin(), keyed.end());
-    }
-    for (size_t i = 0; i < keep; ++i) idx[i] = keyed[i].second;
-  } else {
-    std::iota(idx.begin(), idx.end(), 0u);
-    auto less = [&](uint32_t a, uint32_t b) {
-      if (KeysLess(&flat[a * nk], &flat[b * nk], nk)) return true;
-      if (KeysLess(&flat[b * nk], &flat[a * nk], nk)) return false;
-      return a < b;
-    };
-    if (keep < n) {
-      std::partial_sort(idx.begin(), idx.begin() + static_cast<ptrdiff_t>(keep), idx.end(),
-                        less);
-    } else {
-      std::sort(idx.begin(), idx.end(), less);
-    }
-  }
-  idx.resize(keep);
+  std::iota(idx.begin(), idx.end(), 0u);
+  std::sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
+    if (KeysLess(&flat[a * nk], &flat[b * nk], nk)) return true;
+    if (KeysLess(&flat[b * nk], &flat[a * nk], nk)) return false;
+    return a < b;
+  });
   run->order.clear();
-  run->order.reserve(idx.size());
-  run->keys.resize(idx.size() * nk);
-  for (size_t i = 0; i < idx.size(); ++i) {
+  run->order.reserve(n);
+  run->keys.resize(n * nk);
+  for (size_t i = 0; i < n; ++i) {
     run->order.push_back(refs[idx[i]]);
     std::copy_n(&flat[idx[i] * nk], nk, &run->keys[i * nk]);
   }

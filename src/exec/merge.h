@@ -29,12 +29,11 @@ std::shared_ptr<MorselMerge> MakeAggregateMerge(int64_t num_morsels,
                                                 std::vector<std::string> group_names,
                                                 std::vector<AggregateSpec> aggregates);
 
-/// Sorted runs: each morsel stably sorts its rows, keeping only the first
-/// `keep_rows` of the run when a LIMIT sits right above the sort (-1 keeps
-/// all); Merge k-way merges the runs, breaking ties by morsel index — the
-/// stable sort of the rows in morsel (= table) order.
+/// Sorted runs: each morsel stably sorts its rows; Merge k-way merges the
+/// runs, breaking ties by morsel index — the stable sort of the rows in
+/// morsel (= table) order.
 std::shared_ptr<MorselMerge> MakeSortMerge(int64_t num_morsels, std::vector<ExprPtr> keys,
-                                           std::vector<bool> ascending, int64_t keep_rows,
+                                           std::vector<bool> ascending,
                                            std::vector<std::string> names,
                                            std::vector<DataType> types);
 
@@ -57,11 +56,10 @@ struct SortedRun {
   std::vector<uint64_t> keys;
 };
 
-/// Stably sorts `rows` by `keys` into `run`, keeping the first `keep_rows`
-/// (-1 keeps all). Shared by SortOperator and the sort merge, so both order
-/// rows alike.
+/// Stably sorts `rows` by `keys` into `run`. Shared by SortOperator and the
+/// sort merge, so both order rows alike.
 Status SortRows(const std::vector<ExprPtr>& keys, const std::vector<bool>& ascending,
-                QueryResult rows, int64_t keep_rows, SortedRun* run);
+                QueryResult rows, SortedRun* run);
 
 /// Replaces `out`'s rows (already Reset to the source types) by the listed
 /// (chunk, row) source rows, one typed gather per column.

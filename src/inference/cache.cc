@@ -53,12 +53,10 @@ void InferenceCache::MakeKeys(int64_t model_id, const float* in, int64_t n, int6
     }
   }
   // Group the rows by shard (a counting sort), keeping row order per shard.
-  batch->hashes.resize(static_cast<size_t>(n));
   std::array<int32_t, kShards> counts{};
   std::vector<uint8_t> shard_of(static_cast<size_t>(n));
   for (int64_t j = 0; j < n; ++j) {
     const uint64_t h = std::hash<std::string_view>()(batch->key(j));
-    batch->hashes[static_cast<size_t>(j)] = h;
     // The map buckets on the hash's low bits; shard on its high bits.
     const uint8_t s = static_cast<uint8_t>((h >> 56) % kShards);
     shard_of[static_cast<size_t>(j)] = s;

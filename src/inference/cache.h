@@ -107,7 +107,6 @@ class InferenceCache {
   struct KeyBatch {
     std::vector<char> bytes;
     size_t key_size = 0;
-    std::vector<uint64_t> hashes;
     /// Rows grouped by shard: rows of shard s are
     /// rows[shard_begin[s] .. shard_begin[s + 1]).
     std::vector<int32_t> rows;

@@ -57,24 +57,8 @@ void PlanCache::Insert(const Key& key,
                        std::shared_ptr<const sql::LogicalOp> plan) {
   if (capacity_ <= 0 || plan == nullptr) return;
   MutexLock lock(mu_);
-  if (key.catalog_version < newest_version_) return;  // can never hit
-  if (key.catalog_version > newest_version_) {
-    // The catalog changed: entries of older versions can never hit again,
-    // and their plans pin the tables they were bound to (a replaced model
-    // table among them). Drop them now instead of waiting for the LRU.
-    newest_version_ = key.catalog_version;
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->second.catalog_version < newest_version_) {
-        it = entries_.erase(it);
-        metrics::Registry::Global().counter("server.plan_cache_evictions")->Increment();
-      } else {
-        ++it;
-      }
-    }
-  }
   Entry& entry = entries_[Encode(key)];
   entry.plan = std::move(plan);
-  entry.catalog_version = key.catalog_version;
   entry.last_used = ++use_tick_;
   EvictOverCapacityLocked();
   metrics::Registry::Global()

@@ -23,8 +23,8 @@ uint64_t OptionsFingerprint(const sql::QueryEngine::Options& options);
 /// Maps (SQL text, options fingerprint, catalog version) to the optimized
 /// logical plan, so repeated queries skip parse/bind/optimize entirely. The
 /// catalog version is part of the key: any CREATE/REPLACE/DROP bumps it and
-/// invalidates every cached plan; the first insert under a newer version
-/// drops the stale entries, so their plans stop pinning replaced tables. Cached plans are immutable (`const LogicalOp`) and shared — the
+/// naturally invalidates every cached plan (stale entries age out of the
+/// LRU). Cached plans are immutable (`const LogicalOp`) and shared — the
 /// PhysicalPlanner only reads the logical tree, so any number of concurrent
 /// sessions can lower the same cached plan.
 ///
@@ -56,7 +56,6 @@ class PlanCache {
  private:
   struct Entry {
     std::shared_ptr<const sql::LogicalOp> plan;
-    int64_t catalog_version = 0;
     int64_t last_used = 0;
   };
 
@@ -66,8 +65,6 @@ class PlanCache {
   const int64_t capacity_;
   mutable Mutex mu_;
   int64_t use_tick_ INDBML_GUARDED_BY(mu_) = 0;
-  /// Newest catalog version inserted; older entries are dropped.
-  int64_t newest_version_ INDBML_GUARDED_BY(mu_) = 0;
   std::unordered_map<std::string, Entry> entries_ INDBML_GUARDED_BY(mu_);
 };
 

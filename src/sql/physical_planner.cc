@@ -76,15 +76,6 @@ bool MayCarryNonFinite(const LogicalOp& node) {
   return false;
 }
 
-/// The parent of `child` in the tree under `node`, or null.
-const LogicalOp* ParentOf(const LogicalOp& node, const LogicalOp* child) {
-  for (const auto& c : node.children) {
-    if (c.get() == child) return &node;
-    if (const LogicalOp* found = ParentOf(*c, child)) return found;
-  }
-  return nullptr;
-}
-
 /// Lowers an aggregate's group keys and aggregate specs onto its child's
 /// chunk positions.
 Status LowerAggregate(const LogicalOp& node, std::vector<ExprPtr>* groups,
@@ -127,14 +118,7 @@ PhysicalPlanner::PhysicalPlanner(const LogicalOp* plan, const PlanAnalysis& anal
       inference_(inference),
       state_factory_(std::move(state_factory)),
       operator_factory_(std::move(operator_factory)),
-      profile_(profile) {
-  if (analysis_.cut != nullptr && analysis_.cut->kind == LogicalKind::kSort) {
-    const LogicalOp* parent = ParentOf(*plan_, analysis_.cut);
-    if (parent != nullptr && parent->kind == LogicalKind::kLimit) {
-      limit_above_sort_cut_ = parent;
-    }
-  }
-}
+      profile_(profile) {}
 
 bool PhysicalPlanner::MorselBound(const storage::TablePtr& table, bool above_cut) const {
   return morsel_driven_ && !above_cut && table.get() == analysis_.partitioned_table;
@@ -215,9 +199,7 @@ Result<std::shared_ptr<exec::MorselMerge>> PhysicalPlanner::MakeMerge(
         INDBML_ASSIGN_OR_RETURN(auto e, Remap(*k, mapping));
         keys.push_back(std::move(e));
       }
-      const int64_t keep =
-          limit_above_sort_cut_ != nullptr ? limit_above_sort_cut_->limit : -1;
-      return exec::MakeSortMerge(num_morsels, std::move(keys), cut.ascending, keep,
+      return exec::MakeSortMerge(num_morsels, std::move(keys), cut.ascending,
                                  std::move(names), std::move(types));
     }
     case LogicalKind::kLimit:

@@ -140,9 +140,6 @@ class PhysicalPlanner {
   PlanAnalysis analysis_;
   int num_workers_;
   bool morsel_driven_;
-  /// The cut's parent when it is a LIMIT over a sort cut (each sorted run
-  /// then keeps only its first rows), else null.
-  const LogicalOp* limit_above_sort_cut_ = nullptr;
   bool shared_models_;
   InferenceExecOptions inference_;
   ModelJoinStateFactory state_factory_;
