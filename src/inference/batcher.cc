@@ -120,8 +120,8 @@ Status InferenceBatcher::Submit(const std::shared_ptr<SharedModel>& model,
                                 const std::atomic<bool>* interrupt,
                                 InferenceCallStats* stats) {
   if (opts.batch_window_us <= 0 || n >= model->vector_size()) {
-    // Batching off, or a full vector: the runtime runs in vector_size()
-    // blocks anyway, so coalescing a full chunk with others gains nothing
+    // Batching off, or a full vector: the runtime runs blocks of at most
+    // vector_size() rows anyway, so coalescing a full chunk gains nothing
     // and would only make the workers feeding it sleep. Run it inline
     // without counting as a batch partner.
     return RunInline(*model, in, n, out, stats);
